@@ -11,8 +11,9 @@ Besides the pytest-benchmark kernels, this module doubles as a script:
   runs a small instance once and asserts the engine's memoization is
   live (``mapping.cache_hits > 0``) -- the CI guard.
 * ``python benchmarks/bench_design_search.py --record`` runs the blocked
-  u=3, p=3 instance three ways -- catalog strategy at ``workers=1`` and
-  ``workers=4``, then the branch-and-prune solver strategy -- verifies
+  u=3, p=3 instance three ways -- catalog strategy in-process and sharded
+  over 4 workers (``run_sharded_search``), then the branch-and-prune
+  solver strategy -- verifies
   every run returns identical designs, and updates
   ``BENCH_design_search.json`` at the repo root with the engine timings
   plus the solver's candidates-enumerated ratio and wall-clock speedup
@@ -34,6 +35,7 @@ from repro.experiments.tables import format_table
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
 from repro.mapping.engine import SearchConfig, run_search
+from repro.mapping.shard import run_sharded_search
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_design_search.json"
 
@@ -88,18 +90,17 @@ def test_bench_search_bit_level(benchmark):
 
 
 def test_bench_search_parallel_identical(benchmark):
-    """workers=4 merge path; asserts determinism against workers=1."""
+    """Sharded 4-worker path; asserts determinism against run_search."""
     alg = matmul_bit_level(2, 2, "II")
     binding = {"u": 2, "p": 2}
     prims = designs.fig4_primitives(2)
-    base = run_search(alg, binding, prims,
-                      SearchConfig(block_values=[2], max_candidates=5))
-    config = SearchConfig(block_values=[2], max_candidates=5, workers=4)
-    cands = benchmark.pedantic(
-        run_search, args=(alg, binding, prims, config), rounds=1, iterations=1
+    config = SearchConfig(block_values=[2], max_candidates=5)
+    base = run_search(alg, binding, prims, config)
+    result = benchmark.pedantic(
+        run_sharded_search, args=(alg, binding, prims, config),
+        kwargs={"workers": 4}, rounds=1, iterations=1,
     )
-    assert [(c.mapping.rows, c.time, c.processors) for c in cands] == \
-        [(c.mapping.rows, c.time, c.processors) for c in base]
+    assert _design_rows(result.designs) == _candidate_rows(base)
 
 
 # -- script modes -----------------------------------------------------------
@@ -112,19 +113,28 @@ def _candidate_rows(cands):
     ]
 
 
-def _timed_search(alg, binding, prims, config, repeats=3):
-    """Best-of-N wall clock plus the (identical) result and metrics."""
+def _design_rows(designs_):
+    """``_candidate_rows`` for the JSON records of a sharded search."""
+    return [
+        {"time": d["time"], "processors": d["processors"], "rows": d["rows"]}
+        for d in designs_
+    ]
+
+
+def _timed_search(search, repeats=3):
+    """Best-of-N wall clock of ``search()`` plus its (identical) result
+    rows and metrics."""
     best = None
-    cands = None
+    rows = None
     metrics = None
     for _ in range(repeats):
         with obs.collecting() as reg:
             t0 = time.perf_counter()
-            cands = run_search(alg, binding, prims, config)
+            rows = search()
             elapsed = time.perf_counter() - t0
         metrics = obs.metrics_dict(reg)
         best = elapsed if best is None else min(best, elapsed)
-    return best, cands, metrics
+    return best, rows, metrics
 
 
 def _smoke(metrics_out: str | None) -> int:
@@ -154,26 +164,35 @@ def _record(repeats: int) -> int:
     binding = {"u": u, "p": p}
     prims = designs.fig4_primitives(p)
 
-    def config(workers, strategy="catalog"):
+    def config(strategy="catalog"):
         return SearchConfig(target_space_dim=2, block_values=[p],
                             schedule_bound=2, max_candidates=5,
-                            workers=workers, strategy=strategy)
+                            strategy=strategy)
 
     print(f"recording u={u} p={p} blocked-catalog instance "
           f"(best of {repeats})...")
-    t_seq, cands_seq, m_seq = _timed_search(alg, binding, prims,
-                                            config(1), repeats)
-    t_par, cands_par, m_par = _timed_search(alg, binding, prims,
-                                            config(4), repeats)
-    identical = _candidate_rows(cands_seq) == _candidate_rows(cands_par)
-    print(f"workers=1: {t_seq:.3f}s  workers=4: {t_par:.3f}s  "
-          f"identical={identical}")
-    assert identical, "parallel search diverged from sequential"
-
-    t_sol, cands_sol, m_sol = _timed_search(
-        alg, binding, prims, config(1, strategy="solver"), repeats
+    t_seq, rows_seq, m_seq = _timed_search(
+        lambda: _candidate_rows(run_search(alg, binding, prims, config())),
+        repeats,
     )
-    solver_identical = _candidate_rows(cands_sol) == _candidate_rows(cands_seq)
+    t_par, rows_par, m_par = _timed_search(
+        lambda: _design_rows(run_sharded_search(
+            alg, binding, prims, config(), workers=4
+        ).designs),
+        repeats,
+    )
+    identical = rows_seq == rows_par
+    print(f"workers=1: {t_seq:.3f}s  workers=4 (sharded): {t_par:.3f}s  "
+          f"identical={identical}")
+    assert identical, "sharded search diverged from in-process search"
+
+    t_sol, rows_sol, m_sol = _timed_search(
+        lambda: _candidate_rows(
+            run_search(alg, binding, prims, config(strategy="solver"))
+        ),
+        repeats,
+    )
+    solver_identical = rows_sol == rows_seq
     n_catalog = m_seq["counters"].get("mapping.candidates_enumerated", 0)
     n_solver = m_sol["counters"].get("mapping.candidates_enumerated", 0)
     ratio = n_catalog / max(n_solver, 1)
@@ -221,7 +240,7 @@ def _record(repeats: int) -> int:
             "speedup_vs_catalog": round(t_seq / t_sol, 2),
             "results_identical_to_catalog": solver_identical,
         },
-        "top_candidates": _candidate_rows(cands_seq),
+        "top_candidates": rows_seq,
     })
     if baseline:
         data["speedup_workers_1_vs_baseline"] = round(baseline / t_seq, 2)

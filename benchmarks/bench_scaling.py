@@ -11,7 +11,8 @@ from repro.expansion.theorem31 import matmul_bit_level
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.mapping import designs
 from repro.mapping.bounds import free_schedule_time
-from repro.mapping.engine import SearchConfig, run_search
+from repro.mapping.engine import SearchConfig
+from repro.mapping.shard import run_sharded_search
 
 
 def _operands(u, p):
@@ -44,14 +45,15 @@ def test_bench_free_schedule_scaling(benchmark, u, p):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_bench_search_engine_scaling(benchmark, workers):
-    """Engine wall clock per worker count (single run; pools are costly)."""
+    """Sharded search wall clock per worker count (single run; pools are
+    costly)."""
     alg = matmul_bit_level(2, 2, "II")
     config = SearchConfig(target_space_dim=2, block_values=[2],
-                          schedule_bound=2, max_candidates=5,
-                          workers=workers)
-    cands = benchmark.pedantic(
-        run_search,
+                          schedule_bound=2, max_candidates=5)
+    result = benchmark.pedantic(
+        run_sharded_search,
         args=(alg, {"u": 2, "p": 2}, designs.fig4_primitives(2), config),
-        rounds=1, iterations=1,
+        kwargs={"workers": workers}, rounds=1, iterations=1,
     )
-    assert cands and cands[0].time <= designs.t_fig4(2, 2)
+    assert result.designs
+    assert result.designs[0]["time"] <= designs.t_fig4(2, 2)

@@ -113,7 +113,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         frontier=(
             ("time", "processors", "wire_length") if args.pareto else None
         ),
-        shard_workers=args.shard_workers,
         shard_dir=args.shard_dir,
     )
     return _finish(_dispatch(args, spec))
@@ -388,8 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="max |entry| of candidate schedules")
     p_search.add_argument("--max-candidates", type=int, default=5,
                           help="ranked designs to return")
-    p_search.add_argument("--workers", type=int, default=1,
-                          help="worker processes for candidate evaluation")
+    p_search.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="N > 1 shards the search: N processes claim candidate blocks "
+        "from a shared work queue (see --shard-dir)",
+    )
     p_search.add_argument(
         "--overcollect", type=int, default=4,
         help="collect max_candidates*K feasible designs before ranking",
@@ -413,14 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the (time, PEs)-ranked list",
     )
     p_search.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="shard the search: N processes claim candidate blocks from a "
-        "shared work queue (see --shard-dir)",
-    )
-    p_search.add_argument(
         "--shard-dir", metavar="DIR", default=None,
-        help="shared shard directory for cooperating --shard-workers runs "
-        "(default: a fresh temporary directory)",
+        help="shared shard directory for cooperating sharded runs; implies "
+        "sharding even at --workers 1 (default: a fresh temporary "
+        "directory)",
     )
     _server_option(p_search)
     p_search.set_defaults(fn=_cmd_search)

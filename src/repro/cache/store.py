@@ -287,7 +287,7 @@ class ArtifactCache:
         With ``kind=None``, every versioned cache dir under the base is
         removed (only ``v*`` subdirectories are touched, so pointing
         ``REPRO_CACHE_DIR`` at a shared directory cannot lose user
-        data).  With a ``kind`` (e.g. ``"kernel"``), only that kind's
+        data).  With a ``kind`` (e.g. ``"analysis"``), only that kind's
         subtree is removed from each versioned dir -- other artifact
         kinds and the stats ledger stay intact.
         """

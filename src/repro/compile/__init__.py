@@ -11,9 +11,9 @@ package resolves it once:
   compilers that emit loop-free, ``exec``-compiled NumPy kernels for the
   bit-level and word-level matmul lattices;
 * :mod:`repro.compile.runner` -- the ``compiled`` simulation backend:
-  program memo, artifact-store persistence (kind ``"kernel"``), and the
-  execution harness producing bit-identical results and metrics versus
-  the pointwise and wavefront backends.
+  the in-process program memo and the execution harness producing
+  bit-identical results and metrics versus the pointwise and wavefront
+  backends.
 
 See ``docs/COMPILE.md``.
 """

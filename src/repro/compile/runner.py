@@ -4,20 +4,14 @@ Dispatches a :class:`~repro.machine.simulator.SpaceTimeSimulator` run to
 a compiled per-design program:
 
 * resolve the program for (design rows, kernel family, size, expansion)
-  from the in-process program memo, then the artifact store (kind
-  ``"kernel"``, keyed by :func:`repro.cache.keys.kernel_key`), and only
-  then by compiling from scratch -- so repeat simulations of a known
-  design skip compilation entirely;
+  from the in-process program memo, compiling it on a miss -- so repeat
+  simulations of a known design skip compilation entirely;
 * execute it against a fresh
   :class:`~repro.machine.wavefront.DenseValueStore` and assemble the
   :class:`~repro.machine.simulator.SimulationResult` from the program's
   precomputed utilization statistics, emitting metrics through the same
   :func:`~repro.machine.simulator.emit_machine_metrics` as the other
   backends (bit-identical names and values).
-
-``cache.kernel_hits`` / ``cache.kernel_misses`` counters are emitted
-only when the disk cache is active (``REPRO_CACHE_DIR``), so cache-off
-runs stay metric-identical to the pointwise and wavefront backends.
 
 Kernels the compiler does not know (custom machines, no-NumPy
 processes) fall back to the wavefront module's generic shim under the
@@ -30,19 +24,10 @@ from collections import OrderedDict
 from typing import Callable
 
 from repro import obs
-from repro.cache.keys import kernel_key
-from repro.cache.store import resolve_cache
 from repro.machine import wavefront
 from repro.machine.simulator import SimulationResult, emit_machine_metrics
-from repro.compile.matmul import (
-    KERNEL_PAYLOAD_VERSION,
-    compile_matmul_program,
-    matmul_program_from_payload,
-)
-from repro.compile.word import (
-    compile_word_program,
-    word_program_from_payload,
-)
+from repro.compile.matmul import compile_matmul_program
+from repro.compile.word import compile_word_program
 
 __all__ = ["run_compiled", "clear_program_memo"]
 
@@ -59,44 +44,14 @@ def clear_program_memo() -> None:
     _PROGRAMS.clear()
 
 
-def _memo_put(key, program) -> None:
-    _PROGRAMS[key] = program
-    _PROGRAMS.move_to_end(key)
-    while len(_PROGRAMS) > _MEMO_CAPACITY:
-        _PROGRAMS.popitem(last=False)
-
-
-def _program_for(mapping, family, memo_key, params, compile_fn, load_fn):
-    """Memo -> artifact store -> compile, in that order."""
-    cache = resolve_cache(None)
+def _program_for(memo_key, compile_fn):
+    """The memoized program for ``memo_key``, compiled on a miss."""
     program = _PROGRAMS.get(memo_key)
-    if program is not None:
-        _PROGRAMS.move_to_end(memo_key)
-        if cache is not None:
-            obs.count("cache.kernel_hits")
-        return program
-    disk_key = None
-    if cache is not None:
-        disk_key = kernel_key(
-            family, mapping.rows, params, KERNEL_PAYLOAD_VERSION
-        )
-        payload = cache.get("kernel", disk_key)
-        if payload is not None:
-            try:
-                program = load_fn(payload)
-            except Exception:
-                program = None  # corrupt/stale payload: recompile below
-        if program is not None:
-            obs.count("cache.kernel_hits")
-            cache.flush_stats()
-            _memo_put(memo_key, program)
-            return program
-    program = compile_fn()
-    if cache is not None:
-        obs.count("cache.kernel_misses")
-        cache.put("kernel", disk_key, program.to_payload())
-        cache.flush_stats()
-    _memo_put(memo_key, program)
+    if program is None:
+        program = _PROGRAMS[memo_key] = compile_fn()
+        while len(_PROGRAMS) > _MEMO_CAPACITY:
+            _PROGRAMS.popitem(last=False)
+    _PROGRAMS.move_to_end(memo_key)
     return program
 
 
@@ -160,7 +115,7 @@ def run_compiled(sim, compute: Callable, kernel=None) -> SimulationResult:
     """Execute ``sim`` under the ``compiled`` backend.
 
     Slot kernels the compiler recognizes run through a compiled
-    per-design program (memoized, artifact-cached); anything else --
+    per-design program (memoized in-process); anything else --
     generic ``compute`` callables, unknown kernels, no-NumPy processes
     -- runs through the wavefront module's batched per-point shim.  The
     result, store contents, and metrics are identical to the other
@@ -172,23 +127,15 @@ def run_compiled(sim, compute: Callable, kernel=None) -> SimulationResult:
             expkey = "I" if kernel.exp1 else "II"
             u, p = kernel.u, kernel.p
             program = _program_for(
-                mapping,
-                "matmul",
                 ("matmul", mapping.rows, u, p, expkey),
-                {"u": u, "p": p, "expansion": expkey},
                 lambda: compile_matmul_program(mapping, u, p, expkey),
-                matmul_program_from_payload,
             )
             return _run_program(sim, kernel, program)
         if isinstance(kernel, wavefront.WordMatmulSlotKernel):
             u = kernel.u
             program = _program_for(
-                mapping,
-                "word",
                 ("word", mapping.rows, u),
-                {"u": u},
                 lambda: compile_word_program(mapping, u),
-                word_program_from_payload,
             )
             return _run_program(sim, kernel, program)
     return wavefront._run_generic(sim, compute, label="compiled")

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import obs
 from repro.arith.bitops import to_bits
 from repro.expansion.expansions import Expansion, get_expansion
 from repro.expansion.theorem31 import matmul_bit_level
@@ -58,10 +59,13 @@ class BitLevelMatmulMachine:
     expansion:
         ``"I"`` or ``"II"`` (the paper's designs use Expansion II).
     backend:
-        Simulator backend (``"pointwise"`` | ``"wavefront"``); ``None``
-        defers to :func:`repro.machine.simulator.default_backend`.  Under
-        the wavefront backend the run executes through the vectorized
-        :class:`~repro.machine.wavefront.MatmulSlotKernel`.
+        Simulator backend (``"pointwise"`` | ``"wavefront"`` |
+        ``"compiled"``); ``None`` defers to
+        :func:`repro.machine.simulator.default_backend`.  Under the
+        wavefront and compiled backends the run executes through the
+        vectorized :class:`~repro.machine.wavefront.MatmulSlotKernel`
+        when ``p <= MATMUL_KERNEL_MAX_P``, and through the generic
+        per-point path (counted as ``machine.kernel_fallback``) otherwise.
     """
 
     def __init__(
@@ -157,7 +161,9 @@ class BitLevelMatmulMachine:
         if sim.backend in ("wavefront", "compiled"):
             from repro.machine import wavefront
 
-            if wavefront.HAVE_NUMPY and p <= 62:
+            if p > wavefront.MATMUL_KERNEL_MAX_P:
+                obs.count("machine.kernel_fallback")
+            elif wavefront.HAVE_NUMPY:
                 kernel = wavefront.MatmulSlotKernel(
                     u, p, self.expansion.key, x, y, state
                 )

@@ -515,8 +515,16 @@ def matmul_read_sites(u: int, p: int, exp1: bool, lattice):
     return sites
 
 
+#: Largest word length ``p`` on which :class:`MatmulSlotKernel` is exact:
+#: product words carry ``2p - 1`` bits and are assembled in int64, so
+#: ``2p - 1 <= 63``.  Wider words run through the generic per-point path.
+MATMUL_KERNEL_MAX_P = 32
+
+
 class MatmulSlotKernel:
     """Vectorized slot kernel for the bit-level matmul lattice.
+
+    Exact for ``p <= MATMUL_KERNEL_MAX_P``; callers fall back outside it.
 
     Implements exactly the per-point semantics of
     :meth:`repro.machine.bitlevel.BitLevelMatmulMachine.run`'s ``compute``

@@ -1,4 +1,4 @@
-"""The design-space search engine: parallel, pruned, and memoized.
+"""The design-space search engine: pruned and memoized.
 
 The paper presents the *results* of a space-time mapping search (eqs.
 (4.2)/(4.6)); this module implements the search itself -- the joint
@@ -20,21 +20,16 @@ Ganapathy/Wah) -- as a staged engine:
    via :func:`~repro.mapping.feasibility.check_feasibility`, with conflict
    enumeration and interconnect column solves memoized in a run-scoped
    :class:`~repro.mapping.memo.EvalCache`.
-5. **Parallel merge**: with ``workers > 1`` space candidates fan out over a
-   ``ProcessPoolExecutor``; results are merged in candidate-catalog order,
-   so the ranked output is *identical* for every worker count
-   (``workers=1`` runs in-process with no executor at all).
 
 All knobs live on the frozen :class:`SearchConfig`; :func:`run_search` is
-the engine entry point and :func:`search_designs` the stable public API
-(its pre-engine per-parameter signature survives as a deprecated shim).
+the engine entry point and :func:`search_designs` the stable public API.
+The engine runs in one process; :mod:`repro.mapping.shard` spreads the
+same scan over several (``run_sharded_search(..., workers=N)``).
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -83,10 +78,6 @@ class SearchConfig:
     require_busy:
         Enforce condition 5 (coprime entries of ``T``) as a pre-screen
         before the full feasibility check.
-    workers:
-        Process fan-out for space candidates.  ``1`` (default) evaluates
-        in-process; higher values use a ``ProcessPoolExecutor``.  Results
-        are identical for every value -- only wall-clock changes.
     overcollect:
         Early-stop factor: the scan stops after collecting
         ``max_candidates * overcollect`` feasible designs, *before* the
@@ -121,8 +112,7 @@ class SearchConfig:
         shared memo entry is loaded before the scan and the merged table
         saved after it.  ``None`` (default) enables persistence iff
         ``$REPRO_CACHE_DIR`` is set; memo keys are canonical values, so
-        entries are valid across any search configuration.  Only the
-        main process's table is persisted under ``workers > 1``.
+        entries are valid across any search configuration.
     """
 
     target_space_dim: int = 2
@@ -130,7 +120,6 @@ class SearchConfig:
     schedule_bound: int = 2
     max_candidates: int | None = 10
     require_busy: bool = True
-    workers: int = 1
     overcollect: int | None = 4
     persist_cache: bool | None = None
     strategy: str = "auto"
@@ -150,8 +139,6 @@ class SearchConfig:
             raise ValueError("schedule_bound must be >= 0")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1 or None")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.overcollect is not None and self.overcollect < 1:
             raise ValueError("overcollect must be >= 1 or None")
         if self.strategy not in ("auto", "catalog", "solver"):
@@ -313,7 +300,7 @@ def ranked_schedules(
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: per-candidate evaluation (shared by sequential and worker paths)
+# Stage 4: per-candidate evaluation (shared with the shard workers)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -349,9 +336,7 @@ def _evaluate_space(
     Walks the shared time-sorted schedule list and returns the first ``Π``
     whose full feasibility check (including conflict-freedom with this
     specific ``S``) passes.  The walk runs under a
-    ``mapping.evaluate_space`` span -- the per-candidate trace unit that
-    worker processes ship back in their registry deltas, so sequential and
-    parallel runs produce the same span structure.
+    ``mapping.evaluate_space`` span, the per-candidate trace unit.
 
     Under ``strategy="solver"`` the walk is delegated to
     :func:`repro.mapping.solver.evaluate_space_solver`, which returns the
@@ -375,152 +360,6 @@ def _evaluate_space(
             if report.feasible:
                 return list(pi), report
     return None
-
-
-def _iter_sequential(
-    spaces: list[list[list[int]]],
-    ctx: _EvalContext,
-    cap: int | None,
-    progress=obs.NULL_PROGRESS,
-) -> Iterator[tuple[list[list[int]], list[int], FeasibilityReport]]:
-    yielded = 0
-    for space in spaces:
-        result = _evaluate_space(space, ctx)
-        progress.advance()
-        if result is None:
-            continue
-        yield space, result[0], result[1]
-        yielded += 1
-        if cap is not None and yielded >= cap:
-            return
-
-
-# ---------------------------------------------------------------------------
-# Stage 5: process fan-out with deterministic merge
-# ---------------------------------------------------------------------------
-
-#: Per-process evaluation context, installed by the pool initializer so the
-#: algorithm/schedule payload is shipped once per worker, not per chunk, and
-#: the memo cache persists across the chunks a worker processes.
-_WORKER_CTX: _EvalContext | None = None
-
-#: Whether the parent had telemetry enabled when the pool was created;
-#: workers only pay for per-candidate registries (and ship deltas back)
-#: when someone is collecting.
-_WORKER_TELEMETRY: bool = False
-
-
-def _worker_init(payload: tuple) -> None:
-    global _WORKER_CTX, _WORKER_TELEMETRY
-    (algorithm, binding, primitives, schedules, require_busy, strategy,
-     telemetry) = payload
-    _WORKER_CTX = _EvalContext(
-        algorithm=algorithm,
-        binding=binding,
-        primitives=primitives,
-        schedules=schedules,
-        require_busy=require_busy,
-        cache=EvalCache(),
-        strategy=strategy,
-    )
-    _WORKER_TELEMETRY = telemetry
-
-
-def _eval_chunk(
-    chunk: list[tuple[int, list[list[int]]]],
-) -> list[tuple[int, list[int] | None, FeasibilityReport | None, dict | None]]:
-    """Evaluate a chunk of (index, space) candidates in a worker process.
-
-    With telemetry on, every candidate is evaluated under its own
-    registry and returns ``(index, pi, report, delta)`` -- ``pi``/
-    ``report`` are ``None`` for infeasible candidates, and ``delta`` is
-    the candidate's full registry delta (counters, histograms, the
-    ``mapping.evaluate_space`` span tree).  Per-candidate deltas let the
-    parent merge telemetry in catalog order and stop merging exactly at
-    the early-stop point, so aggregate metrics match the sequential scan
-    even though workers evaluate speculatively past it.
-
-    With telemetry off, only feasible candidates are returned (with
-    ``delta=None``) and no registries are created.
-    """
-    ctx = _WORKER_CTX
-    assert ctx is not None, "worker used before initialization"
-    out: list[tuple[int, list[int] | None, FeasibilityReport | None,
-                    dict | None]] = []
-    for index, space in chunk:
-        if _WORKER_TELEMETRY:
-            with obs.collecting() as reg:
-                result = _evaluate_space(space, ctx)
-            pi, report = result if result is not None else (None, None)
-            out.append((index, pi, report, reg.delta()))
-        else:
-            result = _evaluate_space(space, ctx)
-            if result is not None:
-                out.append((index, result[0], result[1], None))
-    return out
-
-
-def _structural_copy(algorithm: Algorithm) -> Algorithm:
-    """The algorithm minus its computation set.
-
-    Feasibility only consults ``(J, D)``; dropping ``E`` keeps the worker
-    payload small and avoids pickling executable semantics closures.
-    """
-    return Algorithm(
-        algorithm.index_set, algorithm.dependences, None, algorithm.name
-    )
-
-
-def _iter_parallel(
-    spaces: list[list[list[int]]],
-    ctx: _EvalContext,
-    workers: int,
-    cap: int | None,
-    progress=obs.NULL_PROGRESS,
-) -> Iterator[tuple[list[list[int]], list[int], FeasibilityReport]]:
-    telemetry = obs.enabled()
-    payload = (
-        _structural_copy(ctx.algorithm),
-        ctx.binding,
-        ctx.primitives,
-        ctx.schedules,
-        ctx.require_busy,
-        ctx.strategy,
-        telemetry,
-    )
-    indexed = list(enumerate(spaces))
-    # Small chunks keep the pool busy near the early-stop point without
-    # flooding the result queue; the merge order (and hence the output) is
-    # chunk order, so the chunk size never affects results.
-    chunk_size = max(1, -(-len(indexed) // (workers * 8)))
-    chunks = [
-        indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)
-    ]
-    reg = obs.get_registry()
-    yielded = 0
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(payload,)
-    ) as pool:
-        futures = [pool.submit(_eval_chunk, chunk) for chunk in chunks]
-        for future in futures:
-            # Futures are consumed (and per-candidate deltas merged) in
-            # catalog order, and the merge stops at the candidate that
-            # fills the early-stop cap -- exactly the prefix the
-            # sequential scan would have evaluated -- so aggregate
-            # metrics are identical for every worker count (up to the
-            # worker-local cache's hit/miss split, whose sum is stable).
-            for index, pi, report, delta in future.result():
-                if reg is not None and delta is not None:
-                    reg.merge_delta(delta)
-                    progress.advance()
-                if pi is None:
-                    continue
-                yield spaces[index], pi, report
-                yielded += 1
-                if cap is not None and yielded >= cap:
-                    for pending in futures:
-                        pending.cancel()
-                    return
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +426,7 @@ def run_search(
     config:
         The :class:`SearchConfig` (defaults throughout when omitted).
 
-    The ranked result list is deterministic and identical for every
-    ``config.workers`` value.
+    The ranked result list is deterministic.
     """
     config = config if config is not None else SearchConfig()
     strategy = config.resolved_strategy
@@ -599,10 +437,8 @@ def run_search(
         dim=n,
         target_space_dim=config.target_space_dim,
         schedule_bound=config.schedule_bound,
-        workers=config.workers,
         strategy=strategy,
     ):
-        obs.gauge("mapping.workers", config.workers)
         schedules = ranked_schedules(algorithm, binding, config.schedule_bound)
         obs.gauge("mapping.schedule_pool", len(schedules))
         time_of = {pi: t for t, pi in schedules}
@@ -636,16 +472,16 @@ def run_search(
                 )
             )
         d_cols = [tuple(c) for c in algorithm.dependences.columns()]
+        cap = config.stop_after
         with obs.progress("mapping.spaces", total=len(spaces)) as progress:
-            if config.workers <= 1 or len(spaces) <= 1 or not schedules:
-                feasible = _iter_sequential(
-                    spaces, ctx, config.stop_after, progress
-                )
-            else:
-                feasible = _iter_parallel(
-                    spaces, ctx, config.workers, config.stop_after, progress
-                )
-            for space, pi, report in feasible:
+            for space in spaces:
+                if cap is not None and len(found) >= cap:
+                    break
+                result = _evaluate_space(space, ctx)
+                progress.advance()
+                if result is None:
+                    continue
+                pi, report = result
                 mapping = MappingMatrix(
                     space + [pi], name=f"T-search-{len(found)}"
                 )
@@ -698,68 +534,15 @@ def _rank(
     return found
 
 
-#: Legacy per-parameter names accepted (deprecated) by search_designs, in
-#: their historical positional order.
-_LEGACY_PARAMS = (
-    "target_space_dim",
-    "block_values",
-    "schedule_bound",
-    "max_candidates",
-    "require_busy",
-)
-
-
 def search_designs(
     algorithm: Algorithm,
     binding: ParamBinding,
     primitives: Sequence[Sequence[int]] | None = None,
     config: SearchConfig | None = None,
-    *legacy_args,
-    **legacy_kwargs,
 ) -> list[DesignCandidate]:
     """Search the design space (see :func:`run_search`).
 
-    The one supported way to parameterize the search is
-    ``config=SearchConfig(...)``.  The historical per-parameter signature
-    ``search_designs(alg, binding, primitives, target_space_dim=...,
-    block_values=..., schedule_bound=..., max_candidates=...,
-    require_busy=...)`` still works -- positionally or by keyword -- but
-    emits a :class:`DeprecationWarning` and forwards to the engine.
+    The stable public name of the engine; parameterize it with
+    ``config=SearchConfig(...)``.
     """
-    if isinstance(config, SearchConfig):
-        if legacy_args or legacy_kwargs:
-            raise TypeError(
-                "pass either config=SearchConfig(...) or the deprecated "
-                "individual parameters, not both"
-            )
-        return run_search(algorithm, binding, primitives, config)
-    positional = list(legacy_args)
-    if config is not None:
-        # A non-SearchConfig fourth positional is the legacy
-        # target_space_dim.
-        positional.insert(0, config)
-    if not positional and not legacy_kwargs:
-        return run_search(algorithm, binding, primitives, SearchConfig())
-    if len(positional) > len(_LEGACY_PARAMS):
-        raise TypeError(
-            f"search_designs() takes at most {3 + len(_LEGACY_PARAMS)} "
-            f"positional arguments"
-        )
-    values = dict(zip(_LEGACY_PARAMS, positional))
-    for key, val in legacy_kwargs.items():
-        if key not in _LEGACY_PARAMS:
-            raise TypeError(
-                f"search_designs() got an unexpected keyword argument {key!r}"
-            )
-        if key in values:
-            raise TypeError(
-                f"search_designs() got multiple values for argument {key!r}"
-            )
-        values[key] = val
-    warnings.warn(
-        "passing individual search parameters to search_designs() is "
-        "deprecated; pass config=SearchConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_search(algorithm, binding, primitives, SearchConfig(**values))
+    return run_search(algorithm, binding, primitives, config)

@@ -9,8 +9,8 @@ is a plain dictionary over *canonicalized* keys with hit/miss accounting
 surfaced through :mod:`repro.obs` (``mapping.cache_hits`` /
 ``mapping.cache_misses``).
 
-A cache is scoped to one search run (one per worker process under
-``workers > 1``); entries are never invalidated.  Cached callables must be
+A cache is scoped to one search run (one per block in a sharded
+search); entries are never invalidated.  Cached callables must be
 deterministic and their results treated as immutable.
 """
 

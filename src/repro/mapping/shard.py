@@ -24,10 +24,14 @@ in a directory any number of processes (or NFS-mounted machines) share:
   frontier, its obs counter delta, and its :class:`EvalCache` delta.
   Every block is evaluated from a *fresh* cache, so its payload is a
   pure function of the block -- the property that makes merged metrics
-  byte-identical for any worker count and claim interleaving.
+  byte-identical for any worker count and claim interleaving.  When the
+  coordinator collects telemetry, blocks also carry their span trees
+  (outside the deterministic part) for ``--trace``.
 * **Merge.**  The coordinator folds block payloads *in block-index
   order*: designs concatenate back into scan order (then rank or
-  frontier-merge exactly as :func:`run_search` does), counters sum,
+  frontier-merge exactly as :func:`run_search` does), counters sum (and
+  are counted into the ambient obs registry, so ``--metrics-out`` reports
+  the same ``mapping.*`` counters for every worker count),
   partial frontiers fold through the associative
   :func:`~repro.mapping.pareto.merge_frontiers`, and the union of memo
   deltas is published as the shared ``mapping-memo`` entry for future
@@ -46,8 +50,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +61,6 @@ from repro.mapping.engine import (
     _evaluate_space,
     _save_memo,
     _space_candidates,
-    _structural_copy,
     ranked_schedules,
 )
 from repro.mapping.memo import EvalCache
@@ -126,7 +128,7 @@ def _plan(
     config: SearchConfig,
     block_size: int | None,
 ):
-    """(schedules, time_of, spaces, blocks): the run's immutable geometry.
+    """(schedules, time_of, spaces, blocks, run_key): the run's geometry.
 
     Pure function of the search inputs -- workers rebuild it bit-for-bit
     from the shipped payload, so block ``i`` means the same candidate
@@ -157,20 +159,18 @@ def _plan(
         (start, min(start + block_size, len(spaces)))
         for start in range(0, max(len(spaces), 1), block_size)
     ]
-    return schedules, time_of, spaces, blocks
+    run_key = _run_key(algorithm, binding, primitives, config, blocks)
+    return schedules, time_of, spaces, blocks, run_key
 
 
 def _run_key(algorithm, binding, primitives, config, blocks) -> str:
     from repro.cache.keys import shard_run_key
-
-    from dataclasses import asdict
 
     cfg = asdict(config)
     cfg["block_values"] = list(cfg["block_values"])
     cfg["frontier"] = (
         None if cfg["frontier"] is None else list(cfg["frontier"])
     )
-    cfg.pop("workers", None)  # any worker count cooperates on one run
     cfg.pop("persist_cache", None)
     return shard_run_key(
         algorithm.name,
@@ -213,7 +213,6 @@ def _claim_block(store, lock, run_key: str, n_blocks: int,
                 continue  # published by an earlier run of the same search
             ledger["claimed"][str(block_id)] = worker
             store.put(_KIND, _ledger_key(run_key), ledger)
-            obs.count("mapping.shard.claims")
             return block_id
     return None
 
@@ -231,13 +230,16 @@ def _eval_block(
     schedules,
     time_of,
     d_cols,
+    trace: bool,
 ) -> dict:
     """Evaluate one block from a fresh cache; JSON-native payload.
 
     The fresh :class:`EvalCache` (rather than one shared per worker) is
     what makes the payload independent of which worker evaluated the
     block and what it evaluated before -- the determinism anchor for the
-    whole protocol.
+    whole protocol.  With ``trace`` the payload also carries the block's
+    span trees under ``"trace"`` (wall times and pid: not deterministic,
+    and never part of the merged result payload).
     """
     ctx = _EvalContext(
         algorithm=algorithm,
@@ -277,16 +279,19 @@ def _eval_block(
                 _frontier_points(designs, config.frontier)
             )
         ]
-    memo = _encode_memo(ctx.cache)
-    return {
+    delta = reg.delta()
+    payload = {
         "designs": designs,
         "frontier": frontier,
         "metrics": {
             name: int(value)
-            for name, value in sorted(reg.delta()["counters"].items())
+            for name, value in sorted(delta["counters"].items())
         },
-        "memo": memo,
+        "memo": _encode_memo(ctx.cache),
     }
+    if trace:
+        payload["trace"] = {"pid": delta["pid"], "spans": delta["spans"]}
+    return payload
 
 
 def _frontier_points(designs: list[dict], metrics: tuple[str, ...]):
@@ -312,36 +317,66 @@ def _encode_memo(cache: EvalCache) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Worker loop (module-level for pickling)
+# Worker loop
 # ---------------------------------------------------------------------------
 
-def _worker_main(args: tuple) -> int:
-    (shard_dir, worker_id, algorithm, binding, primitives, config,
-     block_size) = args
+def _drain(shard_dir, worker_id, plan, algorithm, binding, primitives,
+           config, trace) -> int:
+    """Claim and evaluate blocks until none is left; returns the count.
+
+    Runs with the ambient obs registry detached: a worker's telemetry
+    reaches the coordinator only through its block payloads, so the
+    merged metrics do not depend on which process did the work.
+    """
     from repro.cache import ArtifactCache, FileLock
 
-    schedules, time_of, spaces, blocks = _plan(
-        algorithm, binding, primitives, config, block_size
-    )
-    run_key = _run_key(algorithm, binding, primitives, config, blocks)
+    schedules, time_of, spaces, blocks, run_key = plan
     d_cols = [tuple(c) for c in algorithm.dependences.columns()]
     store = ArtifactCache(shard_dir, shared=True)
     lock = FileLock(Path(shard_dir) / "claims.lock")
+    previous = obs.set_registry(None)
     done = 0
-    while True:
-        block_id = _claim_block(
-            store, lock, run_key, len(blocks), f"worker-{worker_id}"
-        )
-        if block_id is None:
-            break
-        start, end = blocks[block_id]
-        payload = _eval_block(
-            spaces[start:end], algorithm, binding, primitives, config,
-            schedules, time_of, d_cols,
-        )
-        store.put(_KIND, _block_key(run_key, block_id), payload)
-        done += 1
+    try:
+        while True:
+            block_id = _claim_block(
+                store, lock, run_key, len(blocks), f"worker-{worker_id}"
+            )
+            if block_id is None:
+                break
+            start, end = blocks[block_id]
+            payload = _eval_block(
+                spaces[start:end], algorithm, binding, primitives, config,
+                schedules, time_of, d_cols, trace,
+            )
+            store.put(_KIND, _block_key(run_key, block_id), payload)
+            done += 1
+    finally:
+        obs.set_registry(previous)
     return done
+
+
+def _worker_main(args: tuple) -> int:
+    """Process-pool entry (module-level for pickling): rebuild the plan
+    from the shipped inputs, then :func:`_drain`.  The registry a forked
+    worker inherits is dropped, so nothing it counts reaches the parent's
+    sinks except through block payloads."""
+    (shard_dir, worker_id, algorithm, binding, primitives, config,
+     block_size, trace) = args
+    obs.set_registry(None)
+    plan = _plan(algorithm, binding, primitives, config, block_size)
+    return _drain(shard_dir, worker_id, plan, algorithm, binding,
+                  primitives, config, trace)
+
+
+def _structural_copy(algorithm: Algorithm) -> Algorithm:
+    """The algorithm minus its computation set.
+
+    Feasibility only consults ``(J, D)``; dropping ``E`` keeps the worker
+    payload small and avoids pickling executable semantics closures.
+    """
+    return Algorithm(
+        algorithm.index_set, algorithm.dependences, None, algorithm.name
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +404,9 @@ def run_sharded_search(
     :func:`~repro.mapping.engine.run_search` under the same config.
 
     ``workers=1`` runs the same claim/publish/merge protocol in-process;
-    the worker count only changes wall-clock, never output.
+    the worker count only changes wall-clock, never output.  The summed
+    block counters are counted into the ambient obs registry, identically
+    for every ``workers`` value.
     """
     from repro.cache import ArtifactCache
 
@@ -384,36 +421,28 @@ def run_sharded_search(
             "mapping.shard.search", workers=workers,
             strategy=config.resolved_strategy,
         ):
-            schedules, time_of, spaces, blocks = _plan(
-                algorithm, binding, primitives, config, block_size
-            )
-            run_key = _run_key(
-                algorithm, binding, primitives, config, blocks
-            )
-            d_cols = [tuple(c) for c in algorithm.dependences.columns()]
+            plan = _plan(algorithm, binding, primitives, config, block_size)
+            blocks = plan[3]
             obs.gauge("mapping.shard.workers", workers)
             obs.count("mapping.shard.blocks", len(blocks))
-            payload = (
-                _structural_copy(algorithm), binding, primitives, config,
-                block_size,
-            )
+            trace = obs.enabled()
             if workers <= 1 or len(blocks) <= 1:
-                _worker_main((shard_dir, 0) + payload)
+                claims = _drain(shard_dir, 0, plan, algorithm, binding,
+                                primitives, config, trace)
             else:
+                from concurrent.futures import ProcessPoolExecutor
+
+                shipped = (_structural_copy(algorithm), binding, primitives,
+                           config, block_size, trace)
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    list(
-                        pool.map(
-                            _worker_main,
-                            [
-                                (shard_dir, i) + payload
-                                for i in range(workers)
-                            ],
-                        )
-                    )
-            store = ArtifactCache(shard_dir, shared=True)
+                    claims = sum(pool.map(
+                        _worker_main,
+                        [(shard_dir, i) + shipped for i in range(workers)],
+                    ))
+            obs.count("mapping.shard.claims", claims)
             merged = _merge(
-                store, run_key, blocks, config, time_of, algorithm,
-                binding, primitives, schedules, d_cols, workers,
+                ArtifactCache(shard_dir, shared=True), plan, algorithm,
+                binding, primitives, config, workers,
             )
         return merged
     finally:
@@ -421,33 +450,35 @@ def run_sharded_search(
             shutil.rmtree(shard_dir, ignore_errors=True)
 
 
-def _merge(
-    store, run_key, blocks, config, time_of, algorithm, binding,
-    primitives, schedules, d_cols, workers,
-) -> ShardedSearchResult:
+def _merge(store, plan, algorithm, binding, primitives, config,
+           workers) -> ShardedSearchResult:
     """Fold block payloads in block-index order (see module docstring)."""
+    from repro.cache import Unserializable, decode_obj
+
+    schedules, time_of, spaces, blocks, run_key = plan
+    d_cols = [tuple(c) for c in algorithm.dependences.columns()]
+    reg = obs.get_registry()
     designs: list[dict] = []
     metrics: dict[str, int] = {}
     partial_frontiers: list[list[FrontierPoint]] = []
     memo = EvalCache()
-    from repro.cache import Unserializable, decode_obj
-
     for block_id, (start, end) in enumerate(blocks):
         payload = store.get(_KIND, _block_key(run_key, block_id))
         if payload is None:
             # A worker died mid-block; finish its work inline.
             obs.count("mapping.shard.recovered_blocks")
-            spaces = _plan_spaces_slice(
-                algorithm, binding, primitives, config, start, end
-            )
             payload = _eval_block(
-                spaces, algorithm, binding, primitives, config,
-                schedules, time_of, d_cols,
+                spaces[start:end], algorithm, binding, primitives, config,
+                schedules, time_of, d_cols, reg is not None,
             )
             store.put(_KIND, _block_key(run_key, block_id), payload)
         designs.extend(payload["designs"])
         for name, value in payload["metrics"].items():
             metrics[name] = metrics.get(name, 0) + int(value)
+        if reg is not None:
+            reg.merge_delta(
+                {"counters": payload["metrics"], **payload.get("trace", {})}
+            )
         if payload.get("frontier") is not None:
             partial_frontiers.append(
                 [
@@ -482,7 +513,6 @@ def _merge(
         if frontier is not None:
             frontier = frontier[:config.max_candidates]
     if memo.data:
-        memo.misses = len(memo.data)  # mark dirty for _save_memo parity
         _save_memo(store, memo)
     obs.count("mapping.shard.designs", len(designs))
     return ShardedSearchResult(
@@ -493,10 +523,3 @@ def _merge(
         run_key=run_key,
         workers=workers,
     )
-
-
-def _plan_spaces_slice(
-    algorithm, binding, primitives, config, start, end
-) -> list[list[list[int]]]:
-    _, _, spaces, _ = _plan(algorithm, binding, primitives, config, None)
-    return spaces[start:end]

@@ -26,8 +26,9 @@ Two v2 capabilities live here:
   registry (counters, gauges, histogram state, span trees) to a JSON-ready
   dict and :meth:`Registry.merge_delta` folds such a delta into another
   registry, attaching the foreign span trees under the currently open span
-  with process attribution.  This is how worker registries from a
-  ``ProcessPoolExecutor`` merge into the parent's single coherent trace.
+  with process attribution.  This is how the sharded search's block
+  registries, evaluated in worker processes, merge into the parent's
+  single coherent trace.
 """
 
 from __future__ import annotations

@@ -302,21 +302,19 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
         block_values=spec.block if spec.block is not None else [spec.p],
         schedule_bound=spec.schedule_bound,
         max_candidates=None if spec.exhaustive else spec.max_candidates,
-        workers=spec.workers,
         overcollect=None if spec.exhaustive else spec.overcollect,
         strategy=spec.strategy,
         frontier=spec.frontier,
     )
     sharded = None
-    if spec.shard_workers is not None:
+    if spec.workers > 1 or spec.shard_dir is not None:
         from repro.mapping.shard import run_sharded_search
 
         sharded = run_sharded_search(
             alg, binding, primitives, config,
-            workers=spec.shard_workers, shard_dir=spec.shard_dir,
+            workers=spec.workers, shard_dir=spec.shard_dir,
         )
         records = sharded.designs
-        scope = f"shard_workers={sharded.workers}, blocks={sharded.blocks}"
     else:
         found = run_search(alg, binding, primitives, config)
         records = [
@@ -328,7 +326,7 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
             }
             for c in found
         ]
-        scope = f"workers={config.workers}"
+    scope = f"workers={spec.workers}"
     if not records:
         print("no feasible design within the search bounds", file=out)
         return 1, {"candidates": []}

@@ -22,7 +22,7 @@ analyze_symbolic  ``u p expansion cache cache_dir`` (the parametric
                   instantiated at the spec's concrete sizes in O(1))
 search            ``u p expansion target_space_dim block schedule_bound
                   max_candidates workers overcollect exhaustive
-                  primitives strategy frontier shard_workers shard_dir``
+                  primitives strategy frontier shard_dir``
 simulate          ``u p expansion design seed sim_backend gantt``
 verify            ``seed cases oracle_budget_s oracles``
 ================  =======================================================
@@ -86,7 +86,6 @@ class JobSpec:
     primitives: str = "fig4"
     strategy: str = "auto"
     frontier: tuple[str, ...] | None = None
-    shard_workers: int | None = None
     shard_dir: str | None = None
     # -- simulate ------------------------------------------------------------
     design: str = "fig4"
@@ -117,8 +116,8 @@ class JobSpec:
             raise ValueError(f"unknown primitive set {self.primitives!r}")
         if self.strategy not in ("auto", "catalog", "solver"):
             raise ValueError(f"unknown search strategy {self.strategy!r}")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1 or None")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.cases is not None and self.cases < 1:
             raise ValueError("cases must be >= 1 or None")
         if self.budget_s is not None and self.budget_s <= 0:

@@ -205,6 +205,13 @@ class TestStore:
         assert cache.clear() == 2
         assert cache.stats()["entries"] == 0
 
+    def test_clear_one_kind(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put("analysis", "aa", 1)
+        cache.put("structure", "bb", 2)
+        assert cache.clear(kind="structure") == 1
+        assert cache.stats()["kinds"] == {"analysis": 1}
+
     def test_clear_only_touches_versioned_dirs(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("k", "aa", 1)

@@ -37,6 +37,7 @@ class TestTopLevelCli:
         sequential = capsys.readouterr().out
         assert main(["search", "--u", "2", "--p", "2", "--workers", "2"]) == 0
         parallel = capsys.readouterr().out
+        assert "workers=2" in parallel
         # Same ranked table; only the workers= header differs.
         strip = lambda text: text.splitlines()[1:]
         assert strip(parallel) == strip(sequential)
@@ -57,7 +58,6 @@ class TestTopLevelCli:
         metrics = json.loads(out_file.read_text())
         assert metrics["counters"]["mapping.cache_hits"] > 0
         assert metrics["counters"]["mapping.designs_found"] > 0
-        assert metrics["gauges"]["mapping.workers"] == 1
         assert "mapping.search_designs" in metrics["spans"]
 
     def test_simulate_fig4(self, capsys):
@@ -139,8 +139,6 @@ class TestObservabilityFlags:
         for row in rows:
             for key in ("ts", "dur", "pid", "tid", "name"):
                 assert key in row
-        span_pids = {r["pid"] for r in rows if r.get("ph") == "X"}
-        assert len(span_pids) >= 2  # parent + at least one worker track
         names = {r["name"] for r in rows}
         assert "cli.search" in names
         assert "mapping.evaluate_space" in names

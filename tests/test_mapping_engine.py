@@ -1,8 +1,8 @@
 """Tests for the design-space search engine (mapping.engine).
 
-Covers the SearchConfig API, the deprecated per-parameter shim, the
-unified conflict entry point, the feasibility short circuit, memoization,
-and the parallel path's determinism guarantee.
+Covers the SearchConfig API, the unified conflict entry point, the
+feasibility short circuit, memoization, and the determinism guarantee of
+the sharded search against the in-process engine.
 """
 
 import dataclasses
@@ -13,16 +13,16 @@ from repro import obs
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
-from repro.mapping.conflicts import conflict_directions, find_conflicts
+from repro.mapping.conflicts import find_conflicts
 from repro.mapping.engine import (
     DesignCandidate,
     SearchConfig,
     ranked_schedules,
     run_search,
-    search_designs,
 )
 from repro.mapping.feasibility import check_feasibility
 from repro.mapping.memo import EvalCache
+from repro.mapping.shard import run_sharded_search
 from repro.mapping.transform import MappingMatrix
 from repro.structures.constrained import AffineConstraint, ConstrainedIndexSet
 
@@ -39,7 +39,7 @@ class TestSearchConfig:
     def test_frozen(self):
         config = SearchConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.workers = 2
+            config.schedule_bound = 3
 
     def test_block_values_coerced_to_tuple(self):
         config = SearchConfig(block_values=[2, 3])
@@ -54,62 +54,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(max_candidates=0)
         with pytest.raises(ValueError):
-            SearchConfig(workers=0)
-        with pytest.raises(ValueError):
             SearchConfig(overcollect=0)
 
     def test_stop_after(self):
         assert SearchConfig(max_candidates=5, overcollect=4).stop_after == 20
         assert SearchConfig(max_candidates=None).stop_after is None
         assert SearchConfig(max_candidates=5, overcollect=None).stop_after is None
-
-
-class TestLegacyShim:
-    def test_config_object_is_silent(self):
-        alg = matmul_word_structure()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cands = search_designs(
-                alg, {"u": 2}, None,
-                SearchConfig(schedule_bound=1, max_candidates=2),
-            )
-        assert cands
-
-    def test_legacy_kwargs_warn_and_match(self):
-        alg = matmul_word_structure()
-        with pytest.warns(DeprecationWarning, match="SearchConfig"):
-            legacy = search_designs(
-                alg, {"u": 2}, None,
-                target_space_dim=2, schedule_bound=1, max_candidates=3,
-            )
-        config = SearchConfig(target_space_dim=2, schedule_bound=1,
-                              max_candidates=3)
-        assert _signature(legacy) == _signature(
-            run_search(alg, {"u": 2}, None, config)
-        )
-
-    def test_legacy_positionals_warn_and_match(self):
-        alg = matmul_word_structure()
-        with pytest.warns(DeprecationWarning):
-            legacy = search_designs(alg, {"u": 2}, None, 2, (), 1, 3)
-        config = SearchConfig(target_space_dim=2, block_values=(),
-                              schedule_bound=1, max_candidates=3)
-        assert _signature(legacy) == _signature(
-            run_search(alg, {"u": 2}, None, config)
-        )
-
-    def test_mixing_config_and_legacy_rejected(self):
-        alg = matmul_word_structure()
-        with pytest.raises(TypeError, match="not both"):
-            search_designs(alg, {"u": 2}, None, SearchConfig(),
-                           schedule_bound=1)
-
-    def test_unknown_kwarg_rejected(self):
-        alg = matmul_word_structure()
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            search_designs(alg, {"u": 2}, None, bogus=1)
 
 
 class TestConflictDispatch:
@@ -141,13 +91,6 @@ class TestConflictDispatch:
         again = find_conflicts(t, alg.index_set, {"u": 3}, cache=cache)
         assert first == again
         assert cache.hits == 1 and cache.misses == 1
-
-    def test_old_name_deprecated(self):
-        t = MappingMatrix([[1, 0, 0], [1, 0, 0]])
-        alg = matmul_word_structure()
-        with pytest.warns(DeprecationWarning, match="find_conflicts"):
-            dirs = conflict_directions(t, alg.index_set, {"u": 3})
-        assert dirs == find_conflicts(t, alg.index_set, {"u": 3})
 
 
 class TestShortCircuit:
@@ -206,25 +149,31 @@ class TestDeterminism:
         primitives = (designs.fig4_primitives(p) if prims == "fig4"
                       else designs.fig5_primitives())
 
-        def cfg(workers):
-            return SearchConfig(target_space_dim=2, block_values=[p],
-                                schedule_bound=2, max_candidates=5,
-                                workers=workers)
+        config = SearchConfig(target_space_dim=2, block_values=[p],
+                              schedule_bound=2, max_candidates=5)
 
-        sequential = run_search(alg, binding, primitives, cfg(1))
-        parallel = run_search(alg, binding, primitives, cfg(4))
-        assert _signature(parallel) == _signature(sequential)
+        sequential = run_search(alg, binding, primitives, config)
+        parallel = run_sharded_search(
+            alg, binding, primitives, config, workers=4
+        ).designs
+        assert [
+            (d["rows"], d["time"], d["processors"]) for d in parallel
+        ] == [
+            ([list(r) for r in c.mapping.rows], c.time, c.processors)
+            for c in sequential
+        ]
 
     def test_parallel_counters_merged(self):
         alg = matmul_bit_level(2, 2, "II")
-        config = SearchConfig(block_values=[2], max_candidates=3, workers=2)
+        config = SearchConfig(block_values=[2], max_candidates=3)
         with obs.collecting() as reg:
-            cands = run_search(alg, {"u": 2, "p": 2},
-                               designs.fig4_primitives(2), config)
-        assert cands
+            result = run_sharded_search(alg, {"u": 2, "p": 2},
+                                        designs.fig4_primitives(2), config,
+                                        workers=2)
+        assert result.designs
         assert reg.counters["mapping.cache_hits"] > 0
         assert reg.counters["mapping.candidates_enumerated"] > 0
-        assert reg.gauges["mapping.workers"] == 2
+        assert reg.gauges["mapping.shard.workers"] == 2
 
 
 class TestOvercollect:

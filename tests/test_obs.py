@@ -268,5 +268,4 @@ class TestInstrumentedLayers:
         assert c["mapping.space_candidates"] > 0
         assert c["mapping.schedules_tried"] >= c["mapping.schedules_valid"]
         assert c["mapping.cache_hits"] > 0
-        assert reg.gauges["mapping.workers"] == 1
         assert "mapping.search_designs" in reg.span_stats()

@@ -73,6 +73,8 @@ class TestJobSchema:
             JobSpec(kind="analyze", u=0)
         with pytest.raises(ValueError):
             JobSpec(kind="analyze", budget_s=0.0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            JobSpec(kind="search", workers=0)
 
     def test_job_key_is_content_address(self):
         a = JobSpec(kind="analyze", u=2, p=2)
@@ -467,17 +469,6 @@ class TestPublicApi:
         result = repro.verify_run(cases=2, budget_s=10.0)
         assert result.ok
         assert result.data["ok"] is True
-
-    def test_deprecated_aliases_warn_and_work(self):
-        import importlib
-
-        import repro
-        import repro.verify as verify_mod
-
-        for name in ("run_verification", "run_mutation_check"):
-            with pytest.warns(DeprecationWarning, match=name):
-                shimmed = getattr(importlib.import_module("repro"), name)
-            assert shimmed is getattr(verify_mod, name)
 
     def test_unknown_attribute_still_raises(self):
         import repro
