@@ -428,10 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--design", choices=["fig4", "fig5"], default="fig4")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(
-        "--backend", choices=["pointwise", "wavefront", "compiled"],
-        default=None,
-        help="simulator engine (default: REPRO_SIM_BACKEND or pointwise); "
-        "'compiled' runs per-design codegen kernels (see docs/COMPILE.md)",
+        "--backend", choices=["pointwise", "wavefront"], default=None,
+        help="simulator engine (default: REPRO_SIM_BACKEND or wavefront); "
+        "'pointwise' is the one-point-at-a-time reference",
     )
     p_sim.add_argument("--gantt", action="store_true", help="print PE chart")
     _server_option(p_sim)

@@ -59,12 +59,11 @@ class BitLevelMatmulMachine:
     expansion:
         ``"I"`` or ``"II"`` (the paper's designs use Expansion II).
     backend:
-        Simulator backend (``"pointwise"`` | ``"wavefront"`` |
-        ``"compiled"``); ``None`` defers to
-        :func:`repro.machine.simulator.default_backend`.  Under the
-        wavefront and compiled backends the run executes through the
-        vectorized :class:`~repro.machine.wavefront.MatmulSlotKernel`
-        when ``p <= MATMUL_KERNEL_MAX_P``, and through the generic
+        Simulator backend (``"pointwise"`` | ``"wavefront"``); ``None``
+        defers to :func:`repro.machine.simulator.default_backend`.  Under
+        the wavefront backend the run executes through the vectorized
+        :class:`~repro.machine.wavefront.MatmulSlotKernel` when
+        ``p <= MATMUL_KERNEL_MAX_P``, and through the generic
         per-point path (counted as ``machine.kernel_fallback``) otherwise.
     """
 
@@ -158,12 +157,12 @@ class BitLevelMatmulMachine:
             self.mapping, self.algorithm, self.binding, backend=self.backend
         )
         kernel = None
-        if sim.backend in ("wavefront", "compiled"):
+        if sim.backend == "wavefront":
             from repro.machine import wavefront
 
             if p > wavefront.MATMUL_KERNEL_MAX_P:
                 obs.count("machine.kernel_fallback")
-            elif wavefront.HAVE_NUMPY:
+            else:
                 kernel = wavefront.MatmulSlotKernel(
                     u, p, self.expansion.key, x, y, state
                 )

@@ -216,7 +216,7 @@ class BitLevelModelMachine:
             self._route(store, q, 2, (inputs >> 2) & 1, state, "c2")
 
         # Generic model lattices run the wavefront backend through its
-        # compatibility shim (batched transforms, slot-ordered firing).
+        # generic path (batched transforms, slot-ordered firing).
         sim = SpaceTimeSimulator(
             self.mapping, self.algorithm, self.binding, backend=self.backend
         )

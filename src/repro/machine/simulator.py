@@ -20,22 +20,17 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
   through a dict-backed store, with per-point memoized ``Π j̄`` / ``S j̄``;
 * ``"wavefront"`` -- the vectorized engine of
   :mod:`repro.machine.wavefront`: all points are bucketed by schedule time
-  up front (one batched ``times_of`` matmul), whole time slots fire at
-  once against dense array-indexed storage, and the machine-model checks
-  run as per-slot assertions.  Generic ``compute`` callables are supported
-  through a compatibility shim; the shipped arithmetic machines provide
-  fully vectorized slot kernels;
-* ``"compiled"`` -- the design compiler of :mod:`repro.compile`: the
-  run-invariant structure (schedule tables, slot grouping, gather/scatter
-  index plans) is compiled once per design into generated, loop-free NumPy
-  source (memoized in-process and persisted in the artifact cache under a
-  ``kernel`` key), so repeat simulations of a known design skip straight
-  to value execution.  See ``docs/COMPILE.md``.
+  up front (one batched ``times_of`` matmul, memoized per design by
+  :mod:`repro.machine.plan`), whole time slots fire at once against dense
+  array-indexed storage, and the machine-model checks run as per-slot
+  assertions.  The shipped arithmetic machines provide vectorized slot
+  kernels; generic ``compute`` callables, and words past a kernel's exact
+  domain, run through its per-point generic path.
 
-All backends produce identical :class:`SimulationResult` values, store
+Both backends produce identical :class:`SimulationResult` values, store
 contents, and observability metrics; the default is selected by
 :func:`default_backend` (the ``REPRO_SIM_BACKEND`` environment variable,
-``"pointwise"`` otherwise).
+``"wavefront"`` otherwise).
 
 When an ambient :mod:`repro.obs` registry is installed, each run emits a
 ``machine.simulate`` span plus counters/gauges: store read/write and
@@ -67,17 +62,17 @@ __all__ = [
 ]
 
 #: The recognized execution backends.
-BACKENDS = ("pointwise", "wavefront", "compiled")
+BACKENDS = ("pointwise", "wavefront")
 
 
 def default_backend() -> str:
     """The process-wide default backend.
 
-    Honors ``REPRO_SIM_BACKEND`` (``pointwise`` | ``wavefront`` |
-    ``compiled``) so fuzz and CI jobs can flip every simulator in one
-    place; falls back to ``"pointwise"``.
+    Honors ``REPRO_SIM_BACKEND`` (``pointwise`` | ``wavefront``) so CI
+    jobs can flip every simulator in one place; falls back to
+    ``"wavefront"``.
     """
-    backend = os.environ.get("REPRO_SIM_BACKEND", "pointwise")
+    backend = os.environ.get("REPRO_SIM_BACKEND", "wavefront")
     if backend not in BACKENDS:
         raise ValueError(
             f"REPRO_SIM_BACKEND={backend!r} is not one of {BACKENDS}"
@@ -268,8 +263,7 @@ class SpaceTimeSimulator:
     """Execute an algorithm instance under a mapping.
 
     ``backend`` selects the execution engine (``"pointwise"`` |
-    ``"wavefront"`` | ``"compiled"``); ``None`` defers to
-    :func:`default_backend`.
+    ``"wavefront"``); ``None`` defers to :func:`default_backend`.
     """
 
     def __init__(
@@ -324,10 +318,6 @@ class SpaceTimeSimulator:
             from repro.machine.wavefront import run_wavefront
 
             return run_wavefront(self, compute, kernel)
-        if self.backend == "compiled":
-            from repro.compile.runner import run_compiled
-
-            return run_compiled(self, compute, kernel)
         return self._run_pointwise(compute)
 
     def _run_pointwise(

@@ -30,18 +30,20 @@ Two execution surfaces exist:
   arithmetic machines provide kernels and this is where the order-of-
   magnitude speedups come from;
 * :func:`run_wavefront` with only a generic per-point ``compute`` callable
-  -- the compatibility shim: points still go through the batched
-  transforms and fire in slot order, but the callable runs per point
-  against the ordinary dict-backed :class:`ValueStore`.
+  -- the generic path: points still go through the batched transforms
+  and fire in slot order, but the callable runs per point against the
+  ordinary dict-backed :class:`ValueStore`.
 
-NumPy is optional.  Without it the kernel path is skipped and the shim
-(pure-Python batch transforms) keeps every caller working.
+The run-invariant schedule structure of both surfaces comes from the
+memoized plans of :mod:`repro.machine.plan`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as _np
 
 from repro import obs
 from repro.machine.pe import ProcessorElement
@@ -50,25 +52,16 @@ from repro.machine.simulator import (
     ValueStore,
     emit_machine_metrics,
 )
+from repro.machine.plan import generic_plan_for, plan_for
 from repro.mapping.transform import MappingMatrix
 
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "DenseValueStore",
     "SlotCounters",
     "MatmulSlotKernel",
     "WordMatmulSlotKernel",
-    "matmul_read_sites",
     "run_wavefront",
 ]
-
-#: Whether the vectorized kernel path is available in this process.
-HAVE_NUMPY = _np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +206,6 @@ class DenseValueStore:
         out: dict[tuple[str, tuple[int, ...]], int] = {}
         for var, array in self._arrays.items():
             mask = self._masks[var]
-            if _np is None:  # pragma: no cover - arrays imply numpy
-                continue
             for idx in _np.argwhere(_np.broadcast_to(mask, self.shape)):
                 pt = tuple(int(x + lo) for x, lo in zip(idx, self.lowers))
                 out[(var, pt)] = int(array[tuple(idx)])
@@ -276,69 +267,6 @@ class SlotCounters:
 # The wavefront runner
 # ---------------------------------------------------------------------------
 
-def _box_lattice(lowers, uppers):
-    """All lattice points of the box as one ``(N, n)`` int64 block, in
-    lexicographic order (the order ``IndexSet.points`` enumerates)."""
-    axes = [_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in zip(lowers, uppers)]
-    if any(len(ax) == 0 for ax in axes):
-        return _np.zeros((0, len(axes)), dtype=_np.int64)
-    grids = _np.meshgrid(*axes, indexing="ij")
-    return _np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def _slot_slices(sorted_times):
-    """``(start, end)`` index pairs of the equal-time runs."""
-    cuts = _np.flatnonzero(_np.diff(sorted_times)) + 1
-    starts = _np.concatenate([[0], cuts])
-    ends = _np.concatenate([cuts, [len(sorted_times)]])
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _encode_columns(columns):
-    """Mixed-radix encoding of integer columns into one int64 key array."""
-    key = None
-    for col in columns:
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        shifted = col - lo
-        key = shifted if key is None else key * span + shifted
-    return key
-
-
-def _check_conflicts(lattice, times, procs):
-    """Condition 3, vectorized: ``(S j̄, Π j̄)`` must be unique across the
-    run.  Raises the same ``ValueError`` the pointwise PE would."""
-    columns = [procs[:, k] for k in range(procs.shape[1])] + [times]
-    key = _encode_columns(columns)
-    order = _np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    dup = _np.flatnonzero(sorted_key[1:] == sorted_key[:-1])
-    if len(dup) == 0:
-        return
-    # Report the earliest-scheduled collision, pointwise-style.
-    pairs = order[dup], order[dup + 1]
-    worst = int(_np.argmin(times[pairs[0]]))
-    i, j = int(pairs[0][worst]), int(pairs[1][worst])
-    pos = tuple(int(x) for x in procs[i])
-    raise ValueError(
-        f"conflict on PE {pos} at t={int(times[i])}: "
-        f"{tuple(int(x) for x in lattice[i])} vs "
-        f"{tuple(int(x) for x in lattice[j])}"
-    )
-
-
-def _group_counts(encoded, rows):
-    """``{tuple(row): multiplicity}`` for the distinct rows of an encoded
-    column set (used for per-PE busy counts)."""
-    uniq, first, counts = _np.unique(
-        encoded, return_index=True, return_counts=True
-    )
-    out = {}
-    for idx, n in zip(first.tolist(), counts.tolist()):
-        out[tuple(int(x) for x in rows[idx])] = int(n)
-    return out
-
-
 def _pes_materializer(lattice, times, procs):
     """Deferred construction of the ``{coords: ProcessorElement}`` map (the
     conflict check already ran, so firings can be bulk-inserted)."""
@@ -361,13 +289,13 @@ def _pes_materializer(lattice, times, procs):
 def run_wavefront(sim, compute: Callable, kernel=None) -> SimulationResult:
     """Execute ``sim`` under the wavefront backend.
 
-    With a ``kernel`` (and NumPy), runs the fully vectorized slot path;
-    otherwise falls back to the compatibility shim, which batches the
-    space-time transforms and fires ``compute`` per point in slot order.
-    Either way the :class:`SimulationResult`, final store contents, and
-    emitted ``machine.*`` metrics are identical to the pointwise backend's.
+    With a ``kernel``, runs the fully vectorized slot path; otherwise the
+    generic path, which batches the space-time transforms and fires
+    ``compute`` per point in slot order.  Either way the
+    :class:`SimulationResult`, final store contents, and emitted
+    ``machine.*`` metrics are identical to the pointwise backend's.
     """
-    if kernel is not None and _np is not None:
+    if kernel is not None:
         return _run_kernel(sim, kernel)
     return _run_generic(sim, compute)
 
@@ -375,17 +303,11 @@ def run_wavefront(sim, compute: Callable, kernel=None) -> SimulationResult:
 def _run_kernel(sim, kernel) -> SimulationResult:
     reg = obs.get_registry()
     mapping = sim.mapping
-    # Lazy: plan.py imports this module's helpers inside its builder, so
-    # neither module needs the other at import time.
-    from repro.compile.plan import plan_for
-
     with obs.span(
         "machine.simulate", mapping=mapping.name, backend="wavefront"
     ):
         plan = plan_for(mapping, kernel.lowers, kernel.uppers)
-        lattice = plan.lattice
         n_points = plan.n_points
-        times = plan.times
 
         store = DenseValueStore(mapping, kernel.lowers, kernel.uppers)
         store._registry = reg
@@ -397,7 +319,7 @@ def _run_kernel(sim, kernel) -> SimulationResult:
         if n_points:
             first = plan.first
             last = plan.last
-            counters = kernel.execute(lattice, times, store, plan=plan)
+            counters = kernel.execute(plan, store)
             store.reads += counters.reads
             store.writes += counters.writes
             store.causality_checks += counters.causality_checks
@@ -406,7 +328,9 @@ def _run_kernel(sim, kernel) -> SimulationResult:
                     reg.count(label, counters.links[label])
             busy_per_step = plan.busy_per_step()
             pe_busy = plan.pe_busy()
-            sim._pes_builder = _pes_materializer(lattice, times, plan.procs)
+            sim._pes_builder = _pes_materializer(
+                plan.lattice, plan.times, plan.procs
+            )
         result = SimulationResult(
             makespan=last - first + 1,
             first_time=first,
@@ -422,25 +346,20 @@ def _run_kernel(sim, kernel) -> SimulationResult:
     return result
 
 
-def _run_generic(
-    sim, compute: Callable, label: str = "wavefront"
-) -> SimulationResult:
-    """The compatibility shim: batched transforms + slot-ordered per-point
+def _run_generic(sim, compute: Callable) -> SimulationResult:
+    """The generic path: batched transforms + slot-ordered per-point
     interpretation against the dict-backed :class:`ValueStore`.
 
     The batched times/processors and the slot bucketing are constants of
     (mapping, index-set bounds); they come from the memoized
-    :func:`repro.compile.plan.generic_plan_for` so repeat runs of the same
-    design skip straight to firing.  ``label`` names the backend in the
-    obs span (the compiled backend reuses this shim when NumPy is absent).
+    :func:`repro.machine.plan.generic_plan_for` so repeat runs of the same
+    design skip straight to firing.
     """
     reg = obs.get_registry()
     store: ValueStore = sim.store
     store._registry = reg
-    from repro.compile.plan import generic_plan_for
-
     with obs.span(
-        "machine.simulate", mapping=sim.mapping.name, backend=label
+        "machine.simulate", mapping=sim.mapping.name, backend="wavefront"
     ):
         plan = generic_plan_for(
             sim.mapping, sim.algorithm.index_set, sim.binding
@@ -482,39 +401,6 @@ def _run_generic(
 # The bit-level matmul slot kernel (add-shift compressor lattice)
 # ---------------------------------------------------------------------------
 
-def matmul_read_sites(u: int, p: int, exp1: bool, lattice):
-    """The uniform read sites of the bit-level matmul lattice.
-
-    Returns ``[(displacement, mask), ...]`` where ``mask`` selects the
-    lattice points whose compute performs a ``store.get`` along that fixed
-    displacement (every such read hits a produced value).  Shared by the
-    wavefront slot kernel's counter accounting and by the design compiler,
-    which bakes the same site census into its generated kernels.
-    """
-    j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]
-    i1, i2 = lattice[:, 3], lattice[:, 4]
-    sites = [
-        ((0, 1, 0, 0, 0), (i1 == 1) & (j2 > 1)),  # x entry row, d̄ along j2
-        ((0, 0, 0, 1, 0), i1 > 1),  # x pipelining d̄₄
-        ((1, 0, 0, 0, 0), (i2 == 1) & (j1 > 1)),  # y entry column
-        ((0, 0, 0, 0, 1), i2 > 1),  # y pipelining d̄₅
-        ((0, 0, 0, 0, 1), i2 > 1),  # in-row carry
-    ]
-    if exp1:
-        sites += [
-            ((0, 0, 1, 0, 0), j3 > 1),  # position-wise z forwarding
-            ((0, 0, 0, 1, -1), (j3 == u) & (i1 > 1) & (i2 < p)),
-            ((0, 0, 0, 0, 2), (j3 == u) & (i2 > 2)),
-        ]
-    else:
-        sites += [
-            ((0, 0, 0, 1, -1), (i1 > 1) & (i2 < p)),  # δ̄₃ collapse
-            ((0, 0, 1, 0, 0), ((i1 == p) | (i2 == 1)) & (j3 > 1)),
-            ((0, 0, 0, 0, 2), (i1 == p) & (i2 > 2)),
-        ]
-    return sites
-
-
 #: Largest word length ``p`` on which :class:`MatmulSlotKernel` is exact:
 #: product words carry ``2p - 1`` bits and are assembled in int64, so
 #: ``2p - 1 <= 63``.  Wider words run through the generic per-point path.
@@ -547,8 +433,6 @@ class MatmulSlotKernel:
         y: Sequence[Sequence[int]],
         state: dict,
     ):
-        if _np is None:  # pragma: no cover - callers gate on HAVE_NUMPY
-            raise RuntimeError("MatmulSlotKernel requires numpy")
         self.u = int(u)
         self.p = int(p)
         self.exp1 = expansion_key == "I"
@@ -566,17 +450,39 @@ class MatmulSlotKernel:
 
     # -- counter model -------------------------------------------------------
     def _account(self, counters: SlotCounters, mapping, lattice) -> None:
-        """Fold every read site into the counters (each site is a fixed
-        displacement; all matmul-lattice reads hit a produced value)."""
-        for displacement, mask in matmul_read_sites(
-            self.u, self.p, self.exp1, lattice
-        ):
+        """Fold every read site into the counters.
+
+        Each site is a ``store.get`` call of the per-point compute along a
+        fixed displacement; its mask selects the lattice points that make
+        the call (every matmul-lattice read hits a produced value).
+        """
+        u, p = self.u, self.p
+        j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]
+        i1, i2 = lattice[:, 3], lattice[:, 4]
+        sites = [
+            ((0, 1, 0, 0, 0), (i1 == 1) & (j2 > 1)),  # x entry row, d̄ along j2
+            ((0, 0, 0, 1, 0), i1 > 1),  # x pipelining d̄₄
+            ((1, 0, 0, 0, 0), (i2 == 1) & (j1 > 1)),  # y entry column
+            ((0, 0, 0, 0, 1), i2 > 1),  # y pipelining d̄₅
+            ((0, 0, 0, 0, 1), i2 > 1),  # in-row carry
+        ]
+        if self.exp1:
+            sites += [
+                ((0, 0, 1, 0, 0), j3 > 1),  # position-wise z forwarding
+                ((0, 0, 0, 1, -1), (j3 == u) & (i1 > 1) & (i2 < p)),
+                ((0, 0, 0, 0, 2), (j3 == u) & (i2 > 2)),
+            ]
+        else:
+            sites += [
+                ((0, 0, 0, 1, -1), (i1 > 1) & (i2 < p)),  # δ̄₃ collapse
+                ((0, 0, 1, 0, 0), ((i1 == p) | (i2 == 1)) & (j3 > 1)),
+                ((0, 0, 0, 0, 2), (i1 == p) & (i2 > 2)),
+            ]
+        for displacement, mask in sites:
             counters.account_site(mapping, displacement, int(mask.sum()))
 
     # -- execution -----------------------------------------------------------
-    def execute(
-        self, lattice, times, store: DenseValueStore, plan=None
-    ) -> SlotCounters:
+    def execute(self, plan, store: DenseValueStore) -> SlotCounters:
         np = _np
         u, p = self.u, self.p
         exp1 = self.exp1
@@ -598,6 +504,7 @@ class MatmulSlotKernel:
         store.attach("c", C, np.broadcast_to(i2_axis <= p - 1, shape))
         store.attach("c2", C2, np.broadcast_to(i2_axis <= p - 2, shape))
 
+        lattice = plan.lattice
         counters = SlotCounters()
         self._account(counters, store._mapping, lattice)
         pi = [int(c) for c in store._mapping.schedule]
@@ -605,13 +512,8 @@ class MatmulSlotKernel:
         dropped = 0
         writes = 0
 
-        if plan is not None:
-            order, sorted_times, slices = plan.order, plan.sorted_times, plan.slices
-        else:
-            order = np.argsort(times, kind="stable")
-            sorted_times = times[order]
-            slices = _slot_slices(sorted_times)
-        for start, end in slices:
+        order, sorted_times = plan.order, plan.sorted_times
+        for start, end in plan.slices:
             block = lattice[order[start:end]]
             t = int(sorted_times[start])
             j1, j2, j3 = block[:, 0], block[:, 1], block[:, 2]
@@ -716,8 +618,6 @@ class WordMatmulSlotKernel:
     """
 
     def __init__(self, u: int, multiplier, x, y):
-        if _np is None:  # pragma: no cover - callers gate on HAVE_NUMPY
-            raise RuntimeError("WordMatmulSlotKernel requires numpy")
         self.u = int(u)
         self.multiplier = multiplier
         self.lowers = (1, 1, 1)
@@ -725,9 +625,7 @@ class WordMatmulSlotKernel:
         self._x = _np.asarray(x, dtype=_np.int64)
         self._y = _np.asarray(y, dtype=_np.int64)
 
-    def execute(
-        self, lattice, times, store: DenseValueStore, plan=None
-    ) -> SlotCounters:
+    def execute(self, plan, store: DenseValueStore) -> SlotCounters:
         np = _np
         u = self.u
         shape = (u, u, u)
@@ -739,6 +637,7 @@ class WordMatmulSlotKernel:
         for var, array in (("x", X), ("y", Y), ("z", Z)):
             store.attach(var, array, always)
 
+        lattice = plan.lattice
         counters = SlotCounters()
         mapping = store._mapping
         j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]
@@ -749,13 +648,8 @@ class WordMatmulSlotKernel:
         )
         writes = 0
 
-        if plan is not None:
-            order, sorted_times, slices = plan.order, plan.sorted_times, plan.slices
-        else:
-            order = np.argsort(times, kind="stable")
-            sorted_times = times[order]
-            slices = _slot_slices(sorted_times)
-        for start, end in slices:
+        order, sorted_times = plan.order, plan.sorted_times
+        for start, end in plan.slices:
             block = lattice[order[start:end]]
             t = int(sorted_times[start])
             a, b, c = block[:, 0] - 1, block[:, 1] - 1, block[:, 2] - 1

@@ -87,11 +87,11 @@ class WordLevelMatmulMachine:
             self.mapping, self.algorithm, binding, backend=self.backend
         )
         kernel = None
-        if sim.backend in ("wavefront", "compiled"):
+        if sim.backend == "wavefront":
             from repro.machine import wavefront
 
             # Accumulated z words (< u * 2^{2p}) must fit int64 lanes.
-            if wavefront.HAVE_NUMPY and 2 * self.p + u.bit_length() <= 62:
+            if 2 * self.p + u.bit_length() <= 62:
                 kernel = wavefront.WordMatmulSlotKernel(
                     u, self.multiplier, x, y
                 )

@@ -2,10 +2,10 @@
 
 The repo's performance story lives in the committed ``BENCH_*.json``
 baselines (batched analysis 16.5x over scalar, warm artifact cache 131x,
-wavefront simulation 23.7x, compiled kernels ~4x over wavefront,
-symbolic instantiation 500x over concrete enumeration, the solver-backed
-search enumerating ~100x fewer candidates than the catalog path on
-identical results).  Nothing re-checked them per PR: a change
+wavefront simulation 23.7x, symbolic instantiation 500x over concrete
+enumeration, the solver-backed search enumerating ~100x fewer candidates
+than the catalog path on identical results).  Nothing re-checked them
+per PR: a change
 could quietly serialize the batched engine or break memoization and every
 test would stay green.  This module re-measures the smoke-scale versions
 of those ratios and fails when one drops below its requirement.
@@ -63,7 +63,6 @@ FLOORS = {
     "analysis_batched": 2.0,
     "analysis_cache_warm": 2.0,
     "simulator_wavefront": 3.0,
-    "compiled_kernel": 3.0,
     "search_memo_hits": 1.0,
     "symbolic_instantiate": 20.0,
     "design_search_solver": 3.0,
@@ -77,8 +76,6 @@ BASELINE_KEYS = {
                             ("engine", "speedup_warm_vs_cold_batched")),
     "simulator_wavefront": ("BENCH_simulator.json",
                             ("engine", "speedup_wavefront_vs_pointwise")),
-    "compiled_kernel": ("BENCH_compiled.json",
-                        ("engine", "speedup_compiled_vs_wavefront")),
     "symbolic_instantiate": ("BENCH_symbolic.json",
                              ("speedup_symbolic_vs_concrete",)),
     "design_search_solver": ("BENCH_design_search.json",
@@ -91,10 +88,6 @@ BASELINE_KEYS = {
 #: tolerance is applied; the analysis ratios transfer near-1:1.
 SMOKE_SCALE = {
     "simulator_wavefront": 0.5,
-    # the compiled/wavefront ratio is measured at the recorded u=p=8
-    # scale directly, but single-digit-ms runs are noisy on shared CI
-    # machines; discount before the tolerance is applied
-    "compiled_kernel": 0.5,
     # the recorded 500x is vs concrete enumeration at u=p=8; the smoke
     # re-measurement runs the cheaper u=p=6 where the ratio sits ~100x
     "symbolic_instantiate": 0.2,
@@ -319,51 +312,6 @@ def _check_simulator(report: GateReport, repeats: int, slowdown: float) -> None:
     ))
 
 
-def _check_compiled(report: GateReport, repeats: int, slowdown: float) -> None:
-    import random
-
-    from repro.compile.runner import clear_program_memo
-    from repro.machine.bitlevel import BitLevelMatmulMachine
-    from repro.mapping import designs
-
-    u = p = 8
-    rng = random.Random(0)
-    x = [[rng.randrange(1 << p) for _ in range(u)] for _ in range(u)]
-    y = [[rng.randrange(1 << p) for _ in range(u)] for _ in range(u)]
-    products = {}
-    machines = {
-        backend: BitLevelMatmulMachine(
-            u, p, designs.fig4_mapping(p), "II", backend=backend
-        )
-        for backend in ("wavefront", "compiled")
-    }
-
-    def run(backend):
-        products[backend] = machines[backend].run(x, y).product
-
-    clear_program_memo()
-    run("compiled")  # compile outside the timed region
-    # Both engines run in the low milliseconds at this scale; warm up
-    # and measure best-of a deeper repeat count than the slow paths.
-    reps = max(_fast_repeats(repeats), 5)
-    t_wf = _best_of(lambda: run("wavefront"), reps)
-    t_c = _best_of(lambda: run("compiled"), reps, slowdown)
-    identical = products["wavefront"] == products["compiled"]
-    required, baseline = _required("compiled_kernel", report.tolerance)
-    measured = t_wf / t_c
-    report.checks.append(GateCheck(
-        name="compiled_kernel",
-        metric="speedup_compiled_vs_wavefront",
-        measured=measured,
-        required=required,
-        floor=FLOORS["compiled_kernel"],
-        baseline=baseline,
-        passed=measured >= required and identical,
-        detail=(f"u=p={u}: wavefront {t_wf * 1e3:.1f}ms, compiled "
-                f"{t_c * 1e3:.1f}ms, identical={identical}"),
-    ))
-
-
 def _check_symbolic(report: GateReport, repeats: int, slowdown: float) -> None:
     from repro.depanalysis import AnalysisConfig, analyze
     from repro.ir.expand import expand_bit_level
@@ -510,7 +458,6 @@ def run_gate(
     )
     _check_analysis(report, repeats, inject_slowdown_s)
     _check_simulator(report, repeats, inject_slowdown_s)
-    _check_compiled(report, repeats, inject_slowdown_s)
     _check_symbolic(report, repeats, inject_slowdown_s)
     _check_search(report)
     _check_search_solver(report)

@@ -35,8 +35,7 @@ class TestGateRuns:
         assert report.ok, report.summary()
         assert {c.name for c in report.checks} == {
             "analysis_batched", "analysis_cache_warm",
-            "simulator_wavefront", "compiled_kernel",
-            "search_memo_hits", "symbolic_instantiate",
+            "simulator_wavefront", "search_memo_hits", "symbolic_instantiate",
             "design_search_solver",
         }
         (record,) = [
@@ -44,7 +43,7 @@ class TestGateRuns:
         ]
         assert record["ok"] is True
         assert record["timestamp"] > 0
-        assert len(record["checks"]) == 7
+        assert len(record["checks"]) == 6
         assert "environment" in record
 
     def test_injected_slowdown_fails(self, tmp_path):
@@ -58,7 +57,7 @@ class TestGateRuns:
         # is unaffected by a slowdown.
         assert failed >= {
             "analysis_batched", "simulator_wavefront",
-            "compiled_kernel", "symbolic_instantiate",
+            "symbolic_instantiate",
         }
         (record,) = [
             json.loads(line) for line in history.read_text().splitlines()

@@ -318,11 +318,16 @@ class TestServerBudget:
         and the server stays healthy for subsequent jobs."""
         real_run_job = dispatch_mod.run_job
         release = threading.Event()
+        drained = threading.Event()
 
         def slow_run_job(spec, registry=None, limits=None):
-            if spec.kind == "verify":
-                release.wait(20)
-            return real_run_job(spec, registry=registry, limits=limits)
+            if spec.kind != "verify":
+                return real_run_job(spec, registry=registry, limits=limits)
+            release.wait(20)
+            try:
+                return real_run_job(spec, registry=registry, limits=limits)
+            finally:
+                drained.set()
 
         monkeypatch.setattr(dispatch_mod, "run_job", slow_run_job)
         try:
@@ -347,14 +352,23 @@ class TestServerBudget:
                 assert after.ok
         finally:
             release.set()
+            # Let the released orphan finish before the next test: while
+            # it runs it holds the process-wide ambient obs registry, whose
+            # sink posts to this (now stopped) server's event loop, so any
+            # job run meanwhile would emit into it and fail.
+            drained.wait(20)
 
     def test_server_default_budget_applies(self, monkeypatch):
         real_run_job = dispatch_mod.run_job
         release = threading.Event()
+        drained = threading.Event()
 
         def slow_run_job(spec, registry=None, limits=None):
             release.wait(20)
-            return real_run_job(spec, registry=registry, limits=limits)
+            try:
+                return real_run_job(spec, registry=registry, limits=limits)
+            finally:
+                drained.set()
 
         monkeypatch.setattr(dispatch_mod, "run_job", slow_run_job)
         try:
@@ -367,6 +381,7 @@ class TestServerBudget:
                 assert result.status == "timeout"
         finally:
             release.set()
+            drained.wait(20)  # see test_budget_timeout_is_structured
 
 
 # ---------------------------------------------------------------------------

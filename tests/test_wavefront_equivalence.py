@@ -6,12 +6,22 @@ store contents, same ``machine.*`` metric values.  This module pins that
 down across
 
 * the bit-level matmul machine (both designs x both expansions, with and
-  without the vectorized slot kernel);
+  without the vectorized slot kernel), at rectangular sizes and at wide
+  words past the slot kernel's exact domain (``p > 32``), where the
+  wavefront backend falls back to its generic per-point path;
 * every registered arithmetic structure, each exercised on the machine
   path that executes it;
-* the generic model-(3.5) machine (the compatibility shim);
+* the generic model-(3.5) machine (the generic per-point path);
 * >= 20 seeded random feasible mappings drawn from
-  :mod:`repro.verify.generator`.
+  :mod:`repro.verify.generator`;
+* the memoized schedule plans the wavefront runs share;
+* the backend choice itself: ``wavefront`` is the default, and only the
+  two backends are accepted.
+
+Each machine comparison runs twice: once naming ``wavefront`` explicitly
+and once leaving the backend unset with ``REPRO_SIM_BACKEND`` cleared, so
+the default a caller gets without asking is pinned to the reference too
+(also when the whole suite runs under ``REPRO_SIM_BACKEND=pointwise``).
 """
 
 from __future__ import annotations
@@ -23,12 +33,20 @@ import pytest
 from repro import obs
 from repro.arith.baughwooley import BaughWooleyMultiplier
 from repro.arith.registry import list_structures
+from repro.__main__ import build_parser
 from repro.machine import bitlevel as bitlevel_mod
+from repro.machine import plan as plan_mod
+from repro.machine import wavefront as wavefront_mod
 from repro.machine import wordlevel as wordlevel_mod
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.model import BitLevelModelMachine
+from repro.machine.plan import clear_plan_memo, plan_for
 from repro.machine.signed import signed_matmul
-from repro.machine.simulator import SpaceTimeSimulator
+from repro.machine.simulator import (
+    SpaceTimeSimulator,
+    default_backend,
+    resolve_backend,
+)
 from repro.machine.wordlevel import WordLevelMatmulMachine
 from repro.mapping import check_feasibility, designs
 from repro.mapping.transform import MappingMatrix
@@ -36,6 +54,18 @@ from repro.verify.generator import gen_mapping_case
 from tests.conftest import random_matrix, reference_matmul
 
 BACKENDS = ("pointwise", "wavefront")
+
+#: The fast run's ``backend=`` argument: named explicitly, or left to the
+#: default (``None``, with ``REPRO_SIM_BACKEND`` cleared).
+FAST_CHOICES = {"explicit": "wavefront", "default": None}
+
+
+@pytest.fixture
+def default_env(monkeypatch):
+    """Clear ``REPRO_SIM_BACKEND`` so ``backend=None`` means the built-in
+    default, which must be the wavefront engine."""
+    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+    assert resolve_backend(None) == "wavefront"
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +115,7 @@ def _firings(sim):
 # Bit-level matmul machine: designs x expansions (kernel path vs reference)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("design", ["fig4", "fig5"])
-@pytest.mark.parametrize("expansion", ["I", "II"])
-def test_bitlevel_machine_equivalence(design, expansion, capture, rng):
+def _check_bitlevel(design, expansion, capture, rng, fast):
     u = p = 3
     x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
     mapping = (
@@ -95,24 +123,71 @@ def test_bitlevel_machine_equivalence(design, expansion, capture, rng):
     )
     runs = {}
     products = {}
-    for backend in BACKENDS:
-        machine = BitLevelMatmulMachine(u, p, mapping, expansion, backend=backend)
+    states = {}
+    for backend, arg in (("pointwise", "pointwise"), ("wavefront", fast)):
+        machine = BitLevelMatmulMachine(u, p, mapping, expansion, backend=arg)
         out, metrics = _observed(lambda: machine.run(x, y))
         sim = capture[-1]
+        assert sim.backend == backend
         runs[backend] = (out.sim, sim.store.snapshot(), metrics, _firings(sim))
         products[backend] = out.product
+        states[backend] = (out.dropped_bits, out.max_summands)
     mask = (1 << (2 * p - 1)) - 1
     assert products["pointwise"] == products["wavefront"]
     assert products["wavefront"] == reference_matmul(x, y, mask)
+    assert states["pointwise"] == states["wavefront"]
     _assert_runs_match(runs, f"bitlevel {design}/exp {expansion}")
 
 
-def test_bitlevel_kernel_and_shim_agree(rng):
-    """Same backend, kernel gated off: the generic shim must also match."""
+@pytest.mark.parametrize("design", ["fig4", "fig5"])
+@pytest.mark.parametrize("expansion", ["I", "II"])
+def test_bitlevel_machine_equivalence(design, expansion, capture, rng):
+    _check_bitlevel(design, expansion, capture, rng, FAST_CHOICES["explicit"])
+
+
+@pytest.mark.parametrize("design", ["fig4", "fig5"])
+@pytest.mark.parametrize("expansion", ["I", "II"])
+def test_bitlevel_default_backend_equivalence(
+    design, expansion, capture, rng, default_env
+):
+    _check_bitlevel(design, expansion, capture, rng, FAST_CHOICES["default"])
+
+
+@pytest.mark.parametrize(
+    "size",
+    [(2, 4), (4, 2), (3, 4), (2, 31), (2, 32), (2, 33), (2, 36)],
+)
+def test_bitlevel_rectangular_sizes(size, capture, rng):
+    u, p = size
+    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
+    beyond_kernel = p > wavefront_mod.MATMUL_KERNEL_MAX_P
+    runs = {}
+    for backend in BACKENDS:
+        machine = BitLevelMatmulMachine(
+            u, p, designs.fig4_mapping(p), "II", backend=backend
+        )
+        out, metrics = _observed(lambda: machine.run(x, y))
+        # Wide words leave the slot kernel's exact domain: the wavefront
+        # backend counts one fallback; every other metric must match.
+        fallbacks = metrics["counters"].pop("machine.kernel_fallback", 0)
+        assert fallbacks == int(beyond_kernel and backend == "wavefront")
+        sim = capture[-1]
+        runs[backend] = (out.sim, sim.store.snapshot(), metrics, _firings(sim))
+        assert out.product == reference_matmul(x, y, (1 << (2 * p - 1)) - 1)
+    _assert_runs_match(runs, f"bitlevel u={u} p={p}")
+
+
+class _NoKernelSimulator(SpaceTimeSimulator):
+    """Drops the machine's slot kernel, forcing the generic path."""
+
+    def run(self, compute, kernel=None):
+        return super().run(compute, kernel=None)
+
+
+def test_bitlevel_kernel_and_shim_agree(monkeypatch, rng):
+    """Same backend, kernel dropped: the generic path must also match."""
     u = p = 3
     x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-
-    import repro.machine.wavefront as wavefront_mod
 
     def run_once():
         machine = BitLevelMatmulMachine(
@@ -121,17 +196,42 @@ def test_bitlevel_kernel_and_shim_agree(rng):
         return _observed(lambda: machine.run(x, y))
 
     out_kernel, m_kernel = run_once()
-    # Disabling the numpy gate forces the per-point compute through the
-    # wavefront shim; results and metrics must not move.
-    have_numpy, wavefront_mod.HAVE_NUMPY = wavefront_mod.HAVE_NUMPY, False
-    try:
-        out_shim, m_shim = run_once()
-    finally:
-        wavefront_mod.HAVE_NUMPY = have_numpy
+    monkeypatch.setattr(bitlevel_mod, "SpaceTimeSimulator", _NoKernelSimulator)
+    out_shim, m_shim = run_once()
     assert out_kernel.product == out_shim.product
     assert out_kernel.sim == out_shim.sim
     assert m_kernel["counters"] == m_shim["counters"]
     assert m_kernel["gauges"] == m_shim["gauges"]
+
+
+def test_wordlevel_kernel_and_generic_path_agree(monkeypatch, rng):
+    """The word-level slot kernel, dropped, gives the same run through the
+    generic per-point path."""
+    u, p = 4, 3
+    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
+    kernels = []
+
+    class _RecordingSimulator(SpaceTimeSimulator):
+        def run(self, compute, kernel=None):
+            kernels.append(kernel)
+            return super().run(compute, kernel)
+
+    def run_once():
+        machine = WordLevelMatmulMachine(
+            u, p, "carry-save", backend="wavefront"
+        )
+        return _observed(lambda: machine.run(x, y))
+
+    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", _RecordingSimulator)
+    out_kernel, m_kernel = run_once()
+    assert isinstance(kernels[-1], wavefront_mod.WordMatmulSlotKernel)
+    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", _NoKernelSimulator)
+    out_generic, m_generic = run_once()
+    assert out_kernel.product == out_generic.product == reference_matmul(x, y)
+    assert out_kernel.total_cycles == out_generic.total_cycles
+    assert out_kernel.sim == out_generic.sim
+    assert m_kernel["counters"] == m_generic["counters"]
+    assert m_kernel["gauges"] == m_generic["gauges"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +290,7 @@ _ARITH_RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("arith", list_structures())
-def test_registered_arithmetic_equivalence(arith):
+def _check_arithmetic(arith, fast):
     runner = _ARITH_RUNNERS.get(arith)
     if runner is None:
         pytest.fail(
@@ -199,8 +298,8 @@ def test_registered_arithmetic_equivalence(arith):
             f"runner; extend _ARITH_RUNNERS"
         )
     results = {}
-    for backend in BACKENDS:
-        results[backend] = runner(backend, random.Random(0xA1))
+    for backend, arg in (("pointwise", "pointwise"), ("wavefront", fast)):
+        results[backend] = runner(arg, random.Random(0xA1))
     out_pw, m_pw = results["pointwise"]
     out_wf, m_wf = results["wavefront"]
     assert out_pw == out_wf, f"{arith}: results diverged across backends"
@@ -208,15 +307,24 @@ def test_registered_arithmetic_equivalence(arith):
     assert m_pw["gauges"] == m_wf["gauges"], f"{arith}: gauges diverged"
 
 
+@pytest.mark.parametrize("arith", list_structures())
+def test_registered_arithmetic_equivalence(arith):
+    _check_arithmetic(arith, FAST_CHOICES["explicit"])
+
+
+@pytest.mark.parametrize("arith", list_structures())
+def test_registered_arithmetic_default_backend_equivalence(arith, default_env):
+    _check_arithmetic(arith, FAST_CHOICES["default"])
+
+
 # ---------------------------------------------------------------------------
-# Generic model-(3.5) machine (convolution mapping -> compatibility shim)
+# Generic model-(3.5) machine (convolution mapping -> generic path)
 # ---------------------------------------------------------------------------
 
 CONV_T = MappingMatrix([[3, 0, 1, 0], [0, 0, 0, 1], [2, 1, 2, 1]], "T-conv")
 
 
-@pytest.mark.parametrize("expansion", ["I", "II"])
-def test_model_machine_equivalence(expansion, rng):
+def _check_model_machine(expansion, rng, fast):
     n_pts, taps, p = 4, 3, 3
     w = [rng.randrange(1 << p) for _ in range(taps)]
     sig = [rng.randrange(1 << p) for _ in range(n_pts + taps - 1)]
@@ -227,10 +335,10 @@ def test_model_machine_equivalence(expansion, rng):
             yw[(j1, j2)] = sig[j1 + j2 - 2]
     runs = {}
     outputs = {}
-    for backend in BACKENDS:
+    for backend, arg in (("pointwise", "pointwise"), ("wavefront", fast)):
         machine = BitLevelModelMachine(
             [1, 0], [1, -1], [0, 1], [1, 1], [n_pts, taps], p, CONV_T,
-            expansion, backend=backend,
+            expansion, backend=arg,
         )
         out, metrics = _observed(lambda: machine.run(xw, yw))
         runs[backend] = (out.sim, None, metrics, None)
@@ -241,6 +349,16 @@ def test_model_machine_equivalence(expansion, rng):
     assert pw[0] == wf[0]
     assert pw[2]["counters"] == wf[2]["counters"]
     assert pw[2]["gauges"] == wf[2]["gauges"]
+
+
+@pytest.mark.parametrize("expansion", ["I", "II"])
+def test_model_machine_equivalence(expansion, rng):
+    _check_model_machine(expansion, rng, FAST_CHOICES["explicit"])
+
+
+@pytest.mark.parametrize("expansion", ["I", "II"])
+def test_model_machine_default_backend_equivalence(expansion, rng, default_env):
+    _check_model_machine(expansion, rng, FAST_CHOICES["default"])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +411,7 @@ def _generic_compute(alg, binding):
     return compute
 
 
-def test_random_feasible_mappings_equivalent():
+def _check_random_mappings(fast):
     cases = _feasible_cases(seed=42, count=N_RANDOM_MAPPINGS)
     assert len(cases) >= N_RANDOM_MAPPINGS, (
         f"generator produced only {len(cases)} feasible mappings; "
@@ -301,11 +419,12 @@ def test_random_feasible_mappings_equivalent():
     )
     for case, alg, binding, t in cases:
         runs = {}
-        for backend in BACKENDS:
+        for backend, arg in (("pointwise", "pointwise"), ("wavefront", fast)):
             compute = _generic_compute(alg, binding)
             with obs.collecting() as reg:
-                sim = SpaceTimeSimulator(t, alg, binding, backend=backend)
+                sim = SpaceTimeSimulator(t, alg, binding, backend=arg)
                 result = sim.run(compute)
+            assert sim.backend == backend
             runs[backend] = (
                 result,
                 sim.store.snapshot(),
@@ -315,6 +434,107 @@ def test_random_feasible_mappings_equivalent():
         _assert_runs_match(runs, f"{case.kind} mapping {t.rows}")
 
 
+def test_random_feasible_mappings_equivalent():
+    _check_random_mappings(FAST_CHOICES["explicit"])
+
+
+def test_random_feasible_mappings_default_backend(default_env):
+    _check_random_mappings(FAST_CHOICES["default"])
+
+
 def test_random_mapping_count_is_at_least_twenty():
     """Guard: the suite's random sweep keeps covering >= 20 mappings."""
     assert N_RANDOM_MAPPINGS >= 20
+
+
+# ---------------------------------------------------------------------------
+# Plan memoization
+# ---------------------------------------------------------------------------
+
+def test_schedule_plan_is_memoized_across_runs():
+    """Repeat simulations of the same design reuse one SchedulePlan (the
+    per-run argsort/grouping work is paid once per design)."""
+    p = 3
+    mapping = designs.fig4_mapping(p)
+    lowers = (1, 1, 1, 1, 1)
+    uppers = (3, 3, 3, p, p)
+    clear_plan_memo()
+    first = plan_for(mapping, lowers, uppers)
+    again = plan_for(mapping, lowers, uppers)
+    assert first is again
+    # Distinct bounds get a distinct plan.
+    other = plan_for(mapping, lowers, (2, 2, 2, p, p))
+    assert other is not first
+
+
+def test_repeat_wavefront_runs_share_plan_memo(monkeypatch, rng):
+    """Back-to-back wavefront runs of one design, through separate
+    machines, hit the same memoized plan rather than regrouping the
+    lattice."""
+    u = p = 3
+    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
+    mapping = designs.fig4_mapping(p)
+    clear_plan_memo()
+    calls = []
+    real_build = plan_mod._build_plan
+
+    def counting_build(mapping_, lowers, uppers):
+        calls.append((mapping_.rows, lowers, uppers))
+        return real_build(mapping_, lowers, uppers)
+
+    monkeypatch.setattr(plan_mod, "_build_plan", counting_build)
+    for _ in range(3):
+        BitLevelMatmulMachine(u, p, mapping, "II", backend="wavefront").run(x, y)
+    assert len(calls) == 1, f"plan rebuilt {len(calls)} times for one design"
+
+
+def test_plan_memo_failures_not_cached():
+    """Conflicting mappings raise on every call (errors never memoize)."""
+    bad = MappingMatrix(
+        [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "T-conflict"
+    )
+    clear_plan_memo()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="conflict"):
+            plan_for(bad, (1, 1, 1, 1, 1), (2, 2, 2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# Backend choice: wavefront by default, exactly two backends
+# ---------------------------------------------------------------------------
+
+#: The deleted codegen backend's name; every entry point must refuse it.
+REMOVED_BACKEND = 'compiled'
+
+
+def test_default_backend_is_wavefront_and_compiled_is_rejected(monkeypatch):
+    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+    assert default_backend() == "wavefront"
+    assert resolve_backend(None) == "wavefront"
+    with pytest.raises(ValueError, match="unknown backend"):
+        resolve_backend(REMOVED_BACKEND)
+    monkeypatch.setenv("REPRO_SIM_BACKEND", REMOVED_BACKEND)
+    with pytest.raises(ValueError, match="REPRO_SIM_BACKEND"):
+        default_backend()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--backend", REMOVED_BACKEND])
+    args = build_parser().parse_args(["simulate", "--backend", "pointwise"])
+    assert args.backend == "pointwise"
+
+
+# ---------------------------------------------------------------------------
+# Serve path
+# ---------------------------------------------------------------------------
+
+def test_serve_simulate_pointwise_backend():
+    """The reference stays reachable through serve as a non-default
+    backend."""
+    from repro.serve.dispatch import run_job
+    from repro.serve.jobs import JobSpec
+
+    result = run_job(
+        JobSpec(kind="simulate", u=2, p=2, sim_backend="pointwise")
+    )
+    assert result.ok
+    assert result.data["correct"] is True
+    assert result.data["backend"] == "pointwise"
