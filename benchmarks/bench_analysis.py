@@ -1,18 +1,19 @@
-"""Benchmark: scalar vs batched dependence-analysis engine + artifact cache.
+"""Benchmark: scalar reference vs batched dependence-analysis engine + cache.
 
-Times :func:`repro.depanalysis.analyze` with both engine backends on the
-same expanded bit-level matmul programs and checks bit-identical results
-(same ordered instance list, same statistics counters), then measures the
-persistent artifact cache cold (miss + write) and warm (hit).
+Times the scalar reference analyzers and :func:`repro.depanalysis.analyze`
+(the batched engine) on the same expanded bit-level matmul programs and
+checks bit-identical results (same ordered instance list, same statistics
+counters), then measures the persistent artifact cache cold (miss + write)
+and warm (hit).
 
 Besides the pytest-benchmark kernels, this module doubles as a script:
 
 * ``python benchmarks/bench_analysis.py --smoke`` runs one small instance
-  through both backends plus a cache round-trip, asserting equivalence and
-  a >= 2x batched speedup -- the CI guard.
+  through the reference and the engine plus a cache round-trip,
+  asserting equivalence and a >= 2x batched speedup -- the CI guard.
 * ``python benchmarks/bench_analysis.py --record`` runs the E7-shaped
-  sweep on both backends (expecting >= 5x batched cold and >= 20x
-  warm-cache vs the scalar baseline), re-times E7 before/after, runs the
+  sweep on the reference and the engine (expecting >= 5x batched cold and
+  >= 20x warm-cache vs the scalar baseline), re-times E7, runs the
   ``u = p = 16`` Theorem 3.1 cross-validation at scale, and updates
   ``BENCH_analysis.json`` at the repo root (an existing baseline entry is
   preserved).
@@ -30,6 +31,7 @@ from repro import obs
 from repro.depanalysis import AnalysisConfig, analyze
 from repro.experiments.tables import format_table
 from repro.ir.expand import expand_bit_level
+from repro.verify.oracle_analysis import reference_analysis
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_analysis.json"
 
@@ -44,15 +46,19 @@ def _program(u, p, expansion="II"):
     return expand_bit_level(h1, h2, h3, [1, 1, 1], [u, u, u], p, expansion)
 
 
-def _timed(program, p, method="exact", backend=None, cache=False,
+def _timed(program, p, method="exact", reference=False, cache=False,
            cache_dir=None, repeats=1):
-    """Best-of-N wall clock plus the (identical) result."""
-    config = AnalysisConfig(backend=backend, cache=cache, cache_dir=cache_dir)
+    """Best-of-N wall clock plus the (identical) result, from the scalar
+    reference (``reference=True``) or the engine."""
+    config = AnalysisConfig(cache=cache, cache_dir=cache_dir)
     best = None
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = analyze(program, {"p": p}, method=method, config=config)
+        if reference:
+            result = reference_analysis(program, {"p": p}, method)
+        else:
+            result = analyze(program, {"p": p}, method=method, config=config)
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -78,8 +84,8 @@ def report(report_writer):
     data_rows = []
     for u, p in ((2, 2), (3, 2), (3, 3)):
         program = _program(u, p)
-        t_s, r_s = _timed(program, p, backend="scalar")
-        t_b, r_b = _timed(program, p, backend="batched")
+        t_s, r_s = _timed(program, p, reference=True)
+        t_b, r_b = _timed(program, p)
         _assert_identical(r_s, r_b, f"u={u} p={p}")
         rows.append(
             (u, p, u**3 * p**2, r_s.stats["instances"],
@@ -93,7 +99,7 @@ def report(report_writer):
     text = format_table(
         ["u", "p", "|J|", "instances", "scalar ms", "batched ms", "speedup"],
         rows,
-        title="Analysis engine: exact method, scalar vs batched backend",
+        title="Analysis engine: exact method, scalar reference vs batched",
     )
     report_writer(
         "analysis-engine", text,
@@ -103,30 +109,30 @@ def report(report_writer):
 
 def test_bench_exact_scalar(benchmark):
     _, result = benchmark(
-        _timed, PROGRAM, P, method="exact", backend="scalar"
+        _timed, PROGRAM, P, method="exact", reference=True
     )
     assert result.stats["instances"] > 0
 
 
 def test_bench_exact_batched(benchmark):
     _, result = benchmark(
-        _timed, PROGRAM, P, method="exact", backend="batched"
+        _timed, PROGRAM, P, method="exact"
     )
     assert result.stats["instances"] > 0
 
 
 def test_bench_enumerate_batched(benchmark):
     _, result = benchmark(
-        _timed, PROGRAM, P, method="enumerate", backend="batched"
+        _timed, PROGRAM, P, method="enumerate"
     )
     assert result.stats["instances"] > 0
 
 
 def test_bench_warm_cache(benchmark, tmp_path):
     cache_dir = str(tmp_path / "cache")
-    _timed(PROGRAM, P, backend="batched", cache=True, cache_dir=cache_dir)
+    _timed(PROGRAM, P, cache=True, cache_dir=cache_dir)
     _, result = benchmark(
-        _timed, PROGRAM, P, backend="batched", cache=True, cache_dir=cache_dir
+        _timed, PROGRAM, P, cache=True, cache_dir=cache_dir
     )
     assert result.stats["instances"] > 0
 
@@ -136,16 +142,16 @@ def test_bench_warm_cache(benchmark, tmp_path):
 def _smoke() -> int:
     u, p = 3, 2
     program = _program(u, p)
-    t_s, r_s = _timed(program, p, backend="scalar")
-    t_b, r_b = _timed(program, p, backend="batched")
+    t_s, r_s = _timed(program, p, reference=True)
+    t_b, r_b = _timed(program, p)
     _assert_identical(r_s, r_b, f"u={u} p={p} exact")
-    _, r_es = _timed(program, p, method="enumerate", backend="scalar")
-    _, r_eb = _timed(program, p, method="enumerate", backend="batched")
+    _, r_es = _timed(program, p, method="enumerate", reference=True)
+    _, r_eb = _timed(program, p, method="enumerate")
     _assert_identical(r_es, r_eb, f"u={u} p={p} enumerate")
     with tempfile.TemporaryDirectory() as d:
-        t_cold, r_cold = _timed(program, p, backend="batched", cache=True,
+        t_cold, r_cold = _timed(program, p, cache=True,
                                 cache_dir=d)
-        t_warm, r_warm = _timed(program, p, backend="batched", cache=True,
+        t_warm, r_warm = _timed(program, p, cache=True,
                                 cache_dir=d)
     _assert_identical(r_s, r_cold, f"u={u} p={p} cache cold")
     _assert_identical(r_s, r_warm, f"u={u} p={p} cache warm")
@@ -161,7 +167,7 @@ def _smoke() -> int:
 
 
 def _record(repeats: int, scale: int) -> int:
-    print(f"recording E7 sweep {list(SWEEP)} on both backends "
+    print(f"recording E7 sweep {list(SWEEP)} on reference and engine "
           f"(best of {repeats})...")
     sweep_rows = []
     total_scalar = 0.0
@@ -171,12 +177,12 @@ def _record(repeats: int, scale: int) -> int:
     with tempfile.TemporaryDirectory() as cache_dir:
         for u, p in SWEEP:
             program = _program(u, p)
-            t_s, r_s = _timed(program, p, backend="scalar", repeats=repeats)
-            t_b, r_b = _timed(program, p, backend="batched", repeats=repeats)
+            t_s, r_s = _timed(program, p, reference=True, repeats=repeats)
+            t_b, r_b = _timed(program, p, repeats=repeats)
             _assert_identical(r_s, r_b, f"u={u} p={p}")
-            t_cold, r_cold = _timed(program, p, backend="batched", cache=True,
+            t_cold, r_cold = _timed(program, p, cache=True,
                                     cache_dir=cache_dir)
-            t_warm, r_warm = _timed(program, p, backend="batched", cache=True,
+            t_warm, r_warm = _timed(program, p, cache=True,
                                     cache_dir=cache_dir, repeats=repeats)
             _assert_identical(r_s, r_cold, f"u={u} p={p} cache cold")
             _assert_identical(r_s, r_warm, f"u={u} p={p} cache warm")
@@ -202,21 +208,19 @@ def _record(repeats: int, scale: int) -> int:
           f"batched {total_batched:.3f}s ({speedup_cold:.1f}x)  "
           f"warm cache {total_warm:.3f}s ({speedup_warm:.1f}x)")
 
-    print("re-timing E7 with each backend...")
+    print("re-timing E7...")
     from repro.experiments import e7_analysis_cost
 
-    e7 = {}
-    for backend in ("scalar", "batched"):
-        data = e7_analysis_cost.run(backend=backend)
-        e7[backend] = {
-            "general_ms": {
-                f"u{u}p{p}": general_ms
-                for u, p, _pts, _cand, general_ms, _comp, _ratio, _ok
-                in data["rows"]
-            },
-            "ok": data["ok"],
-        }
-        assert data["ok"], f"E7 disagreement under backend={backend}"
+    data = e7_analysis_cost.run()
+    e7 = {"batched": {
+        "general_ms": {
+            f"u{u}p{p}": general_ms
+            for u, p, _pts, _cand, general_ms, _comp, _ratio, _ok
+            in data["rows"]
+        },
+        "ok": data["ok"],
+    }}
+    assert data["ok"], "E7 disagreement"
 
     print(f"running the u=p={scale} Theorem 3.1 cross-validation...")
     from repro.expansion.verify import verify_theorem31
@@ -284,8 +288,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--smoke", action="store_true",
-                      help="small instance on both backends plus a cache "
-                      "round-trip; assert equivalence and >= 2x")
+                      help="small instance on reference and engine plus a "
+                      "cache round-trip; assert equivalence and >= 2x")
     mode.add_argument("--record", action="store_true",
                       help="measure the E7 sweep, cache, E7 before/after and "
                       "the scale run; update BENCH_analysis.json")

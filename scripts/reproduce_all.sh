@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
 # Full reproduction kit: tests, benchmarks, experiment reports, examples.
 #
-# Usage:  bash scripts/reproduce_all.sh [--backend scalar|batched|auto]
-#                                       [--cache-dir DIR] [--no-cache]
+# Usage:  bash scripts/reproduce_all.sh [--cache-dir DIR] [--no-cache]
 #
-#   --backend    analysis-engine backend for every stage (exported as
-#                REPRO_ANALYSIS_BACKEND; default: auto)
 #   --cache-dir  persistent artifact cache root (exported as
 #                REPRO_CACHE_DIR); a second run with the same dir skips
 #                re-analysis
@@ -21,8 +18,6 @@ cd "$(dirname "$0")/.."
 
 while [[ $# -gt 0 ]]; do
     case "$1" in
-        --backend)
-            export REPRO_ANALYSIS_BACKEND="$2"; shift 2 ;;
         --cache-dir)
             export REPRO_CACHE_DIR="$2"; shift 2 ;;
         --no-cache)
@@ -31,8 +26,7 @@ while [[ $# -gt 0 ]]; do
             echo "unknown option: $1" >&2; exit 2 ;;
     esac
 done
-echo "analysis backend: ${REPRO_ANALYSIS_BACKEND:-auto}" \
-     " cache: ${REPRO_CACHE_DIR:-off}"
+echo "cache: ${REPRO_CACHE_DIR:-off}"
 
 stage_started=$SECONDS
 stage_done() {

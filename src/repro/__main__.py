@@ -144,7 +144,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             kind="analyze", u=args.u, p=args.p, expansion=args.expansion,
             method=args.method,
             use_screens=not args.no_screens,
-            analysis_backend=args.backend,
             cache=not args.no_cache,  # this command defaults the cache to ON
             cache_dir=args.cache_dir,
         )
@@ -287,7 +286,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_cases=args.max_cases,
             max_budget_s=args.max_budget_s,
         ),
-        max_batch=args.max_batch,
     )
     server = JobServer(config)
 
@@ -450,10 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact (Diophantine) or enumerate (hash-join oracle)",
     )
     p_analyze.add_argument(
-        "--backend", choices=["auto", "scalar", "batched"], default=None,
-        help="engine backend (default: REPRO_ANALYSIS_BACKEND or auto)",
-    )
-    p_analyze.add_argument(
         "--no-screens", action="store_true",
         help="skip GCD/Banerjee screening (method=exact only)",
     )
@@ -479,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "--kind", default=None, metavar="KIND",
         help="with 'clear': remove only entries of this kind "
-        "(e.g. kernel, analysis)",
+        "(analysis, symbolic, mapping-memo or search-shard)",
     )
     _obs_options(p_cache, top_level=False)
     p_cache.set_defaults(fn=_cmd_cache)
@@ -549,10 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-budget-s", type=float, default=None, metavar="S",
         help="cap (and default) for per-job wall-clock budgets",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=16,
-        help="max analyze jobs fused into one vectorized-engine call",
     )
     _obs_options(p_serve, top_level=False)
     p_serve.set_defaults(fn=_cmd_serve)

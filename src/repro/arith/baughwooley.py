@@ -23,14 +23,11 @@ for every operand pair.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arith.structure import ArithmeticStructure
 from repro.structures.indexset import IndexSet
 from repro.structures.params import LinExpr, S, as_linexpr
-
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["BaughWooleyMultiplier", "baughwooley_structure"]
 
@@ -93,34 +90,34 @@ class BaughWooleyMultiplier:
         scheme bug would corrupt the batched results exactly as it would
         the scalar ones."""
         p = self.p
-        if _np is None or 2 * p > 62:
+        if 2 * p > 62:
             return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
-        a = _np.asarray(a, dtype=_np.int64)
-        b = _np.asarray(b, dtype=_np.int64)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         lo, hi = -(1 << (p - 1)), (1 << (p - 1)) - 1
         for value, name in ((a, "a"), (b, "b")):
             bad = (value < lo) | (value > hi)
             if bad.any():
-                k = int(_np.argmax(bad))
+                k = int(np.argmax(bad))
                 raise ValueError(
                     f"{name}={int(value[k])} outside the {p}-bit signed range"
                 )
-        shifts = _np.arange(p, dtype=_np.int64)
+        shifts = np.arange(p, dtype=np.int64)
         a_bits = (a[:, None] >> shifts) & 1  # arithmetic shift: 2's complement
         b_bits = (b[:, None] >> shifts) & 1
         core_w = (
             1 << (shifts[: p - 1, None] + shifts[None, : p - 1])
-        ).astype(_np.int64)
+        ).astype(np.int64)
         total = (
             (a_bits[:, : p - 1, None] & b_bits[:, None, : p - 1]) * core_w
         ).sum(axis=(1, 2))
-        sign_w = (1 << (p - 1 + shifts[: p - 1])).astype(_np.int64)
+        sign_w = (1 << (p - 1 + shifts[: p - 1])).astype(np.int64)
         total += ((1 - (a_bits[:, p - 1 :] & b_bits[:, : p - 1])) * sign_w).sum(axis=1)
         total += ((1 - (a_bits[:, : p - 1] & b_bits[:, p - 1 :])) * sign_w).sum(axis=1)
         total += (a_bits[:, p - 1] & b_bits[:, p - 1]) << (2 * p - 2)
         total += (1 << p) + (1 << (2 * p - 1))  # correction constants
         total &= (1 << (2 * p)) - 1
-        return _np.where(
+        return np.where(
             (total >> (2 * p - 1)) != 0, total - (1 << (2 * p)), total
         )
 

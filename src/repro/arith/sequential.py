@@ -17,20 +17,17 @@ the word-level baseline can be both simulated and costed.
 
 from __future__ import annotations
 
-from repro.arith.ripple import RippleCarryAdder
+import numpy as np
 
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.arith.ripple import RippleCarryAdder
 
 __all__ = ["SequentialAddShift", "SequentialCarrySave", "word_multiplier_cycles"]
 
 
 def _check_block_operands(a, b, p: int):
     """Vectorized range check shared by the block multipliers."""
-    a = _np.asarray(a, dtype=_np.int64)
-    b = _np.asarray(b, dtype=_np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     hi = 1 << p
     if ((a < 0) | (a >= hi) | (b < 0) | (b >= hi)).any():
         raise ValueError("operands exceed the word length")
@@ -63,15 +60,15 @@ class SequentialAddShift:
         """:meth:`multiply` over whole operand blocks (one shifted-add
         sweep per bit position, each addition done block-wide) -- the
         wavefront slot kernels' batched multiply.  Falls back to the
-        scalar loop without NumPy or when ``2p`` exceeds a machine word."""
+        scalar loop when ``2p`` exceeds a machine word."""
         p = self.p
-        if _np is None or 2 * p > 62:
+        if 2 * p > 62:
             return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
         a, b = _check_block_operands(a, b, p)
         mask = (1 << (2 * p)) - 1
-        acc = _np.zeros_like(a)
+        acc = np.zeros_like(a)
         for i in range(p):
-            acc = acc + _np.where((b >> i) & 1 == 1, (a << i) & mask, 0)
+            acc = acc + np.where((b >> i) & 1 == 1, (a << i) & mask, 0)
             if (acc > mask).any():
                 raise AssertionError("2p-bit accumulator overflow")
         return acc
@@ -115,14 +112,14 @@ class SequentialCarrySave:
         ``(sum, carry)`` compression runs block-wide per bit position and
         the final carry-propagate add is one vector add."""
         p = self.p
-        if _np is None or 2 * p > 62:
+        if 2 * p > 62:
             return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
         a, b = _check_block_operands(a, b, p)
         mask = (1 << (2 * p)) - 1
-        s = _np.zeros_like(a)
-        c = _np.zeros_like(a)
+        s = np.zeros_like(a)
+        c = np.zeros_like(a)
         for i in range(p):
-            pp = _np.where((b >> i) & 1 == 1, (a << i) & mask, 0)
+            pp = np.where((b >> i) & 1 == 1, (a << i) & mask, 0)
             new_s = s ^ c ^ pp
             new_c = (((s & c) | (c & pp) | (pp & s)) << 1) & mask
             s, c = new_s, new_c

@@ -1,7 +1,7 @@
 """Persistent cross-run artifact cache.
 
 Content-addressed, on-disk memoization for the expensive pure derivations
-of the pipeline: dependence-analysis results, Theorem 3.1 structures, and
+of the pipeline: dependence-analysis results, symbolic analyses, and
 the design-space search's conflict/interconnect solves.  Keys are SHA-256
 fingerprints of canonicalized inputs (:mod:`repro.cache.keys` -- including
 HNF normalization of per-pair subscript systems), values are exact JSON
@@ -21,14 +21,11 @@ from repro.cache.keys import (
     analysis_key,
     fingerprint,
     shard_run_key,
-    structure_key,
     symbolic_key,
     system_key,
 )
 from repro.cache.serde import (
     Unserializable,
-    algorithm_from_payload,
-    algorithm_to_payload,
     analysis_result_from_payload,
     analysis_result_to_payload,
     condition_from_payload,
@@ -52,8 +49,6 @@ __all__ = [
     "FileLock",
     "Uncacheable",
     "Unserializable",
-    "algorithm_from_payload",
-    "algorithm_to_payload",
     "analysis_key",
     "analysis_result_from_payload",
     "analysis_result_to_payload",
@@ -65,7 +60,6 @@ __all__ = [
     "fingerprint",
     "resolve_cache",
     "shard_run_key",
-    "structure_key",
     "symbolic_key",
     "system_key",
 ]

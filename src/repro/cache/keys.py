@@ -10,8 +10,7 @@ result.  Two canonicalizations do the work:
   evaluated under the concrete binding (so ``p`` vs ``q`` as a parameter
   name cannot split the cache), and array names are kept verbatim because
   they appear in the result.  Method and screen settings are part of the
-  key; the *backend* deliberately is not -- scalar and batched engines
-  produce bit-identical results, so they share entries.
+  key.
 * :func:`system_key` keys one per-pair subscript system by the row-style
   Hermite normal form of the augmented matrix ``[A | b]``.  Two systems
   with the same HNF generate the same row lattice, hence have identical
@@ -27,11 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.cache.serde import (
-    Unserializable,
-    algorithm_to_payload,
-    condition_to_payload,
-)
+from repro.cache.serde import Unserializable, condition_to_payload
 from repro.depanalysis.pairs import PointSet
 from repro.structures.conditions import And, Eq, Ne, Not, Or, _False, _True
 from repro.util.linalg import hermite_normal_form
@@ -41,7 +36,6 @@ __all__ = [
     "fingerprint",
     "analysis_key",
     "shard_run_key",
-    "structure_key",
     "symbolic_key",
     "system_key",
 ]
@@ -159,32 +153,6 @@ def symbolic_key(program) -> str:
         }
     except Unserializable as exc:
         raise Uncacheable(str(exc)) from exc
-    return fingerprint(payload)
-
-
-def structure_key(word, arith_name: str, expansion_key: str, p) -> str:
-    """Content-address one symbolic Theorem 3.1 composition.
-
-    ``word`` is the word-level :class:`~repro.structures.algorithm.Algorithm`
-    (serialized exactly, symbolic bounds and validity conditions included),
-    ``arith_name``/``expansion_key`` the registered arithmetic structure and
-    expansion, ``p`` the symbolic-or-``None`` stage count.
-    """
-    try:
-        word_payload = algorithm_to_payload(word)
-        for vec in word.dependences:
-            # Validity must be canonically serializable too (checked above via
-            # algorithm_to_payload); nothing extra needed here.
-            condition_to_payload(vec.validity)
-    except Unserializable as exc:
-        raise Uncacheable(str(exc)) from exc
-    payload = {
-        "kind": "theorem31",
-        "word": word_payload,
-        "arith": arith_name,
-        "expansion": expansion_key,
-        "p": None if p is None else repr(p),
-    }
     return fingerprint(payload)
 
 

@@ -19,10 +19,9 @@ verification to see if the integer solutions are inside the index set"):
   analyzer and to validate Theorem 3.1 on concrete instances;
 * :mod:`repro.depanalysis.engine` -- the vectorized engine: batched
   GCD/Banerjee screening, block candidate enumeration, the batched
-  hash-join, backend resolution (``REPRO_ANALYSIS_BACKEND``), and the
-  persistent artifact cache (see :mod:`repro.cache` and
-  ``docs/ANALYSIS.md``).  Both backends are bit-identical to the scalar
-  reference.
+  hash-join, and the persistent artifact cache (see :mod:`repro.cache`
+  and ``docs/ANALYSIS.md``).  It is bit-identical to the scalar
+  reference and falls back to it outside its int64/size domain.
 """
 
 from repro.depanalysis.pairs import AnalysisResult, DependenceInstance, PointSet
@@ -31,8 +30,6 @@ from repro.depanalysis.banerjee import banerjee_test
 from repro.depanalysis.analyzer import analyze
 from repro.depanalysis.engine import (
     AnalysisConfig,
-    BACKENDS,
-    default_backend,
     resolve_backend,
     run_analysis,
 )
@@ -40,12 +37,10 @@ from repro.depanalysis.engine import (
 __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
-    "BACKENDS",
     "DependenceInstance",
     "PointSet",
     "analyze",
     "banerjee_test",
-    "default_backend",
     "gcd_test",
     "resolve_backend",
     "run_analysis",

@@ -95,11 +95,11 @@ def analyze(
     use_screens:
         For ``method="exact"``: whether to apply GCD/Banerjee screening.
     config:
-        Engine configuration (:class:`repro.depanalysis.engine.AnalysisConfig`):
-        backend selection (scalar vs batched; default ``auto``) and the
-        persistent artifact cache policy.  ``None`` uses the environment
-        defaults (``REPRO_ANALYSIS_BACKEND`` / ``REPRO_CACHE_DIR``); all
-        backends produce bit-identical results.
+        The persistent artifact cache policy
+        (:class:`repro.depanalysis.engine.AnalysisConfig`); ``None`` uses
+        the environment default (``REPRO_CACHE_DIR``).  The analysis runs
+        on the batched engine, which is bit-identical to the scalar
+        reference and falls back to it outside its domain.
     """
     from repro.depanalysis.engine import run_analysis
 

@@ -1,4 +1,4 @@
-"""Vectorized dependence-analysis engine with pluggable backends.
+"""Vectorized dependence-analysis engine.
 
 The scalar analyzers (:mod:`repro.depanalysis.exact`,
 :func:`repro.depanalysis.analyzer.analyze_enumerate`) are the reference
@@ -29,22 +29,24 @@ matrix arithmetic instead of Python loops:
   coordinates via one matmul per access, writer tables as sorted
   mixed-radix codes, and reads joined by ``searchsorted``.
 
-Every batched path falls back to the scalar implementation when numpy is
-unavailable or when int64 could overflow (coefficients/bounds/radix
-products are range-checked with exact Python arithmetic first).
+Each batched path declares its exact-integer domain as data
+(``_INT64_SAFE``, ``_GRID_CAP``, ``_POINTS_CAP``; magnitudes are
+range-checked with exact Python arithmetic first) and hands the work to
+the scalar reference outside it, counting ``depanalysis.fallback`` once
+per hand-off.
 
-:func:`run_analysis` is the engine entry point: it resolves the backend
-(``REPRO_ANALYSIS_BACKEND`` env, ``auto`` = batched when numpy is
-present) and consults the persistent artifact cache
-(:mod:`repro.cache`) keyed by the canonicalized program instance, so
-repeated pipeline/verify/experiment runs skip re-analysis entirely.
+:func:`run_analysis` is the engine entry point: it runs the batched
+engine and consults the persistent artifact cache (:mod:`repro.cache`)
+keyed by the canonicalized program instance, so repeated
+pipeline/verify/experiment runs skip re-analysis entirely.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro import obs
 from repro.cache import (
@@ -68,29 +70,15 @@ from repro.structures.conditions import And, Condition, Eq, Ne, Not, Or, _False,
 from repro.structures.params import ParamBinding
 from repro.util.linalg import solve_integer_system
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via backend fallback tests
-    np = None
-    HAVE_NUMPY = False
-
 __all__ = [
     "AnalysisConfig",
-    "BACKENDS",
-    "HAVE_NUMPY",
     "analyze_enumerate_batched",
     "analyze_exact_batched",
     "box_lattice",
     "condition_mask",
-    "default_backend",
     "resolve_backend",
     "run_analysis",
-    "run_analysis_batch",
 ]
-
-BACKENDS = ("scalar", "batched")
 
 #: int64 safety margin: all intermediate products must stay below this.
 _INT64_SAFE = 1 << 62
@@ -102,44 +90,26 @@ _POINTS_CAP = 1 << 23
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """How :func:`run_analysis` should execute.
+    """How :func:`run_analysis` uses the persistent artifact cache.
 
-    ``backend=None`` defers to ``$REPRO_ANALYSIS_BACKEND`` (default
-    ``auto`` = batched when numpy is importable).  ``cache=None`` enables
-    the persistent artifact cache iff ``cache_dir`` is given or
+    ``cache=None`` enables the cache iff ``cache_dir`` is given or
     ``$REPRO_CACHE_DIR`` is set; ``True``/``False`` force it.
     """
 
-    backend: str | None = None
     cache: bool | None = None
     cache_dir: str | os.PathLike | None = None
 
 
-def default_backend() -> str:
-    """``"batched"`` when numpy is available, else ``"scalar"``."""
-    return "batched" if HAVE_NUMPY else "scalar"
-
-
 def resolve_backend(name: str | None = None) -> str:
-    """Resolve a backend request to a concrete engine name.
+    """The analysis engine's name, ``"batched"``, as runs record it.
 
-    ``None`` consults ``$REPRO_ANALYSIS_BACKEND``; ``"auto"`` (the
-    default) picks :func:`default_backend`.  Requesting ``"batched"``
-    without numpy degrades to ``"scalar"`` (results are identical by
-    construction, so this is a pure performance note).
+    There is one engine; it picks the scalar reference by itself outside
+    its domain (counted as ``depanalysis.fallback``), so ``None`` and
+    ``"batched"`` are the only accepted requests.
     """
-    if name is None:
-        name = os.environ.get("REPRO_ANALYSIS_BACKEND") or "auto"
-    if name == "auto":
-        return default_backend()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown analysis backend {name!r}; choose from "
-            f"{('auto',) + BACKENDS}"
-        )
-    if name == "batched" and not HAVE_NUMPY:
-        return "scalar"
-    return name
+    if name not in (None, "batched"):
+        raise ValueError(f"unknown analysis backend {name!r}")
+    return "batched"
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +205,9 @@ def _batched_screens(pairs, order, binding, box, stats):
     """Vectorized GCD + Banerjee screening over all pairs at once.
 
     Returns the list of surviving pair indices, or ``None`` when int64
-    could overflow (the caller then screens pair-by-pair).  Raises the
-    same ``ValueError`` as :func:`gcd_test` on a rank-mismatched pair,
-    at the first such pair in scalar loop order.
+    could overflow (the caller then screens pair-by-pair with the scalar
+    tests).  Raises the same ``ValueError`` as :func:`gcd_test` on a
+    rank-mismatched pair, at the first such pair in scalar loop order.
     """
     n_pairs = len(pairs)
     coeff_rows: list[list[int]] = []
@@ -305,12 +275,12 @@ def _candidate_block(particular, basis, box):
     both enumerate exactly the in-box solutions); materializes the
     ``t̄`` interval box as a dense grid and maps it through one matmul.
     Falls back to the recursive enumerator for oversized or overflowing
-    grids.
+    grids (counted as ``depanalysis.fallback``).
     """
     n = len(particular)
     if len(box) != n:
         # Mirror bounded_lattice_points: a degenerate system (e.g. a rank-0
-        # access pair) must fail identically on both backends.
+        # access pair) must fail identically on engine and reference.
         raise ValueError("bounds length must match solution dimension")
     if not basis:
         ok = all(lo <= x <= hi for x, (lo, hi) in zip(particular, box))
@@ -328,9 +298,11 @@ def _candidate_block(particular, basis, box):
     max_part = max(abs(int(x)) for x in particular)
     try:
         _check_magnitude(len(basis) * max_t * max_basis + max_part)
+        fits = total <= _GRID_CAP
     except _Int64Overflow:
-        return [tuple(x) for x in bounded_lattice_points(particular, basis, box)]
-    if total > _GRID_CAP:
+        fits = False
+    if not fits:
+        obs.count("depanalysis.fallback")
         return [tuple(x) for x in bounded_lattice_points(particular, basis, box)]
 
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in intervals]
@@ -349,27 +321,23 @@ def analyze_exact_batched(
     program: LoopNest,
     binding: ParamBinding,
     use_screens: bool = True,
-    solve_memo: dict | None = None,
 ) -> AnalysisResult:
     """Batched re-implementation of :func:`analyze_exact`.
 
     Produces a bit-identical :class:`AnalysisResult` (instances and
     ``stats``); see the module docstring for the batching strategy.
 
-    ``solve_memo`` lets a caller share the HNF-keyed Diophantine memo
-    across several analyses (:func:`run_analysis_batch`): entries are
-    keyed on ``(system HNF, candidate box)``, so reuse is exact no
-    matter which program in the batch populated them.  Memo hits change
-    only wall-clock (and the ``depanalysis.system_memo_hits`` obs
-    counter), never the result or its ``stats`` dict.
+    Pairs whose subscript systems have the same ``(system HNF, candidate
+    box)`` share one solve.  Memo hits change only wall-clock (and the
+    ``depanalysis.system_memo_hits`` obs counter), never the result or
+    its ``stats`` dict.
     """
-    if not HAVE_NUMPY:
-        return analyze_exact(program, binding, use_screens=use_screens)
     order = program.index_names
     n = program.dim
     bounds = program.index_set.bounds(binding)
     box = bounds + bounds  # unknowns: (source j̄', sink j̄)
     if box and max(max(abs(lo), abs(hi)) for lo, hi in box) >= _INT64_SAFE:
+        obs.count("depanalysis.fallback")
         return analyze_exact(program, binding, use_screens=use_screens)
 
     stats = {
@@ -397,6 +365,7 @@ def analyze_exact_batched(
             survivor_idx = _batched_screens(pairs, order, binding, box, stats)
             if survivor_idx is None:
                 # int64-unsafe widths: screen pair-by-pair (same counters).
+                obs.count("depanalysis.fallback")
                 survivor_idx = []
                 for pi, (_w, write, _r, read) in enumerate(pairs):
                     if not gcd_test(write, read, order, binding):
@@ -411,7 +380,7 @@ def analyze_exact_batched(
         else:
             survivor_idx = list(range(len(pairs)))
 
-        memo = solve_memo if solve_memo is not None else {}
+        memo: dict = {}
         box_key = tuple(box)
         progress = obs.progress(
             "depanalysis.candidate_blocks", total=len(survivor_idx)
@@ -516,13 +485,12 @@ def analyze_enumerate_batched(
 
     The iteration space becomes one lex-ordered lattice block; writer
     elements are mixed-radix-encoded into sorted int64 tables and reads
-    join by ``searchsorted``.  Falls back to the scalar oracle when numpy
-    is missing, the block would be too large, or int64 could overflow.
+    join by ``searchsorted``.  Falls back to the scalar oracle (counted
+    as ``depanalysis.fallback``) when the block would be too large or
+    int64 could overflow.
     """
     from repro.depanalysis.analyzer import analyze_enumerate
 
-    if not HAVE_NUMPY:
-        return analyze_enumerate(program, binding)
     n = program.dim
     bounds = program.index_set.bounds(binding)
     size = program.index_set.size(binding)
@@ -532,6 +500,7 @@ def analyze_enumerate_batched(
         or (bounds and max(max(abs(lo), abs(hi)) for lo, hi in bounds)
             >= _INT64_SAFE)
     ):
+        obs.count("depanalysis.fallback")
         return analyze_enumerate(program, binding)
 
     order = program.index_names
@@ -645,6 +614,7 @@ def analyze_enumerate_batched(
                             )
                         )
     except _Int64Overflow:
+        obs.count("depanalysis.fallback")
         return analyze_enumerate(program, binding)
     stats["instances"] = len(instances)
     obs.count_many(stats, prefix="depanalysis.")
@@ -662,125 +632,43 @@ def run_analysis(
     use_screens: bool = True,
     config: AnalysisConfig | None = None,
 ) -> AnalysisResult:
-    """Analyze through the configured backend and the persistent cache.
+    """Analyze through the batched engine and the persistent cache.
 
-    The scalar and batched backends return bit-identical results, so cache
-    entries are shared across backends (the key covers the canonicalized
-    program instance, method, and screen setting -- not the backend).
-    Delegates to :func:`run_analysis_batch` with a batch of one.
+    The cache key covers the canonicalized program instance, method, and
+    screen setting.  The ``analysis.engine_calls`` obs counter increments
+    iff the analysis is actually computed (not answered from the cache);
+    it is the counter the ``repro.serve`` coalescing guarantee is stated
+    in.
     """
-    return run_analysis_batch(
-        [(program, binding, method, use_screens)], config=config
-    )[0]
-
-
-def run_analysis_batch(
-    requests,
-    config: AnalysisConfig | None = None,
-    timings: list | None = None,
-) -> list[AnalysisResult]:
-    """Run several analyses as **one** engine call.
-
-    ``requests`` is a sequence of ``(program, binding, method,
-    use_screens)`` tuples; the return list holds each request's
-    :class:`AnalysisResult` in request order, bit-identical to what
-    per-request :func:`run_analysis` calls would produce.
-
-    Batching buys three things over a loop of single calls:
-
-    * one cache store (one lock acquisition pattern, one stats flush)
-      serves the whole batch;
-    * cache hits are peeled off first, and the ``analysis.engine_calls``
-      obs counter increments **once** for the whole batch iff anything
-      is actually computed (``analysis.engine_jobs`` counts the computed
-      requests) -- this is the counter the ``repro.serve`` coalescing
-      guarantee is stated in;
-    * under the batched backend, every exact analysis in the batch
-      shares a single ``(system HNF, candidate box)``-keyed Diophantine
-      memo, so structurally recurring subscript systems across requests
-      are solved once.
-
-    When ``timings`` (an empty list) is passed, one wall-clock figure
-    per request -- its cache lookup plus, for misses, its share of the
-    batch's compute -- is appended in request order.
-    """
-    import time
-
-    reqs = [
-        (program, binding, method, use_screens)
-        for program, binding, method, use_screens in requests
-    ]
-    for _prog, _bind, method, _scr in reqs:
-        if method not in ("exact", "enumerate"):
-            raise ValueError(f"unknown analysis method {method!r}")
+    if method not in ("exact", "enumerate"):
+        raise ValueError(f"unknown analysis method {method!r}")
     if config is None:
         config = AnalysisConfig()
-    backend = resolve_backend(config.backend)
     store = resolve_cache(config.cache, config.cache_dir)
-
-    results: list[AnalysisResult | None] = [None] * len(reqs)
-    spent = [0.0] * len(reqs)
-    pending: list[tuple[int, str | None]] = []
-    for idx, (program, binding, method, use_screens) in enumerate(reqs):
-        t0 = time.perf_counter()
-        key = None
-        if store is not None:
-            try:
-                key = analysis_key(program, binding, method, use_screens)
-            except Uncacheable:
-                key = None
-            if key is not None:
-                payload = store.get("analysis", key)
-                if payload is not None:
-                    try:
-                        results[idx] = analysis_result_from_payload(payload)
-                        spent[idx] = time.perf_counter() - t0
-                        continue
-                    except (KeyError, TypeError, ValueError):
-                        pass  # malformed entry: recompute (and overwrite)
-        spent[idx] = time.perf_counter() - t0
-        pending.append((idx, key))
-
-    if pending:
-        from repro.depanalysis.analyzer import analyze_enumerate
-
-        obs.count("analysis.engine_calls")
-        obs.count("analysis.engine_jobs", len(pending))
-        shared_memo: dict = {}
-        batch_span = (
-            obs.span(
-                "depanalysis.engine_batch", jobs=len(pending), backend=backend
-            )
-            if len(reqs) > 1
-            else contextlib.nullcontext()
-        )
-        with batch_span:
-            for idx, key in pending:
-                t0 = time.perf_counter()
-                program, binding, method, use_screens = reqs[idx]
-                if method == "exact":
-                    if backend == "batched":
-                        result = analyze_exact_batched(
-                            program, binding, use_screens=use_screens,
-                            solve_memo=shared_memo,
-                        )
-                    else:
-                        result = analyze_exact(
-                            program, binding, use_screens=use_screens
-                        )
-                elif backend == "batched":
-                    result = analyze_enumerate_batched(program, binding)
-                else:
-                    result = analyze_enumerate(program, binding)
-                if store is not None and key is not None:
-                    store.put(
-                        "analysis", key, analysis_result_to_payload(result)
-                    )
-                results[idx] = result
-                spent[idx] += time.perf_counter() - t0
-
+    key = None
     if store is not None:
-        store.flush_stats()
-    if timings is not None:
-        timings.extend(spent)
-    return results
+        try:
+            key = analysis_key(program, binding, method, use_screens)
+        except Uncacheable:
+            key = None
+    try:
+        if key is not None:
+            payload = store.get("analysis", key)
+            if payload is not None:
+                try:
+                    return analysis_result_from_payload(payload)
+                except (KeyError, TypeError, ValueError):
+                    pass  # malformed entry: recompute (and overwrite)
+        obs.count("analysis.engine_calls")
+        if method == "exact":
+            result = analyze_exact_batched(
+                program, binding, use_screens=use_screens
+            )
+        else:
+            result = analyze_enumerate_batched(program, binding)
+        if key is not None:
+            store.put("analysis", key, analysis_result_to_payload(result))
+        return result
+    finally:
+        if store is not None:
+            store.flush_stats()

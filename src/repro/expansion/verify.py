@@ -66,7 +66,7 @@ def effective_edges(
     """All ``(sink, vector)`` pairs with a valid vector whose source is inside
     the index set -- the extensional content of a dependence structure.
 
-    When numpy is available and the index set is a plain box, each
+    When the index set is a plain box inside the int64 domain, each
     dependence vector is resolved over the whole point block at once
     (validity via :func:`repro.depanalysis.engine.condition_mask`, source
     membership via array comparisons), which is what lets Theorem 3.1
@@ -78,7 +78,7 @@ def effective_edges(
 
     index_set = algorithm.index_set
     out: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    if _engine.HAVE_NUMPY and type(index_set) is IndexSet:
+    if type(index_set) is IndexSet:
         import numpy as np
 
         bounds = index_set.bounds(binding)
@@ -132,11 +132,11 @@ def verify_theorem31(
     expansion:
         ``"I"`` or ``"II"``.
     method:
-        Which analyzer backend to run on the explicit program
-        (``"enumerate"`` or ``"exact"``).
+        Which analyzer to run on the explicit program (``"enumerate"`` or
+        ``"exact"``).
     config:
         Optional :class:`repro.depanalysis.engine.AnalysisConfig` for the
-        analysis leg (engine backend + persistent-cache policy).
+        analysis leg (persistent-cache policy).
     """
     word = word_model_structure(h1, h2, h3, lowers, uppers)
     compositional = bit_level_structure(word, "add-shift", expansion, p)

@@ -38,16 +38,14 @@ _MATMUL_H = ([0, 1, 0], [1, 0, 0], [0, 0, 1])
 def run(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3)),
     verify: bool = True,
-    backend: str | None = None,
 ) -> dict:
     """Time both derivations per ``(u, p)`` and check they agree.
 
-    ``backend`` selects the analysis engine (``"scalar"``/``"batched"``;
-    default: environment resolution).  The persistent cache is disabled so
-    the general-analysis column always measures a real analysis run.
+    The persistent cache is disabled so the general-analysis column always
+    measures a real analysis run.
     """
     reg = obs.get_registry() or obs.Registry()
-    config = AnalysisConfig(backend=backend, cache=False)
+    config = AnalysisConfig(cache=False)
     rows = []
     all_ok = True
     progress = reg.progress("e7.cases", total=len(cases))
@@ -88,7 +86,7 @@ def run(
     return {
         "rows": rows,
         "ok": all_ok,
-        "backend": resolve_backend(backend),
+        "backend": resolve_backend(None),
         "metrics": reg.metrics(),
     }
 
@@ -96,7 +94,7 @@ def run(
 def report(data: dict | None = None) -> str:
     """Render the E7 table."""
     data = data or run()
-    backend = data.get("backend", "scalar")
+    backend = data.get("backend", resolve_backend(None))
     table = format_table(
         ["u", "p", "|J|", "candidates verified", "general (ms)",
          "Theorem 3.1 (µs)", "ratio", "same structure"],

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.structures.params import ParamBinding
 from repro.util.intmath import gcd_list
 from repro.util.linalg import integer_rank, mat_vec
-
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["MappingMatrix"]
 
@@ -79,40 +76,34 @@ class MappingMatrix:
         """``Π j̄`` for a whole block of points in one shot.
 
         ``points`` is an ``(N, n)`` array-like (sequence of points or a
-        NumPy array).  Returns an ``int64`` ndarray of length ``N`` when
-        NumPy is available, else a plain ``list[int]`` -- either way a
-        sequence whose ``k``-th entry equals ``time_of(points[k])``.
+        NumPy array).  Returns an ``int64`` ndarray of length ``N`` whose
+        ``k``-th entry equals ``time_of(points[k])``.
         """
-        if _np is not None:
-            if self._np_schedule is None:
-                self._np_schedule = _np.asarray(self.rows[-1], dtype=_np.int64)
-            block = _np.asarray(points, dtype=_np.int64)
-            if block.size == 0:  # empty index sets batch to empty results
-                return _np.zeros(0, dtype=_np.int64)
-            if block.ndim == 1:  # a single point: keep shape conventions tight
-                block = block.reshape(1, -1)
-            return block @ self._np_schedule
-        return [self.time_of(pt) for pt in points]
+        if self._np_schedule is None:
+            self._np_schedule = np.asarray(self.rows[-1], dtype=np.int64)
+        block = np.asarray(points, dtype=np.int64)
+        if block.size == 0:  # empty index sets batch to empty results
+            return np.zeros(0, dtype=np.int64)
+        if block.ndim == 1:  # a single point: keep shape conventions tight
+            block = block.reshape(1, -1)
+        return block @ self._np_schedule
 
     def processors_of(self, points):
         """``S j̄`` for a whole block of points in one shot.
 
-        Returns an ``(N, k-1)`` ``int64`` ndarray when NumPy is available,
-        else a ``list[tuple[int, ...]]``; row ``k`` equals
+        Returns an ``(N, k-1)`` ``int64`` ndarray; row ``k`` equals
         ``processor_of(points[k])``.
         """
-        if _np is not None:
-            if self._np_space is None:
-                self._np_space = _np.asarray(
-                    [list(r) for r in self.rows[:-1]], dtype=_np.int64
-                ).reshape(len(self.rows) - 1, self.n)
-            block = _np.asarray(points, dtype=_np.int64)
-            if block.size == 0:
-                return _np.zeros((0, len(self.rows) - 1), dtype=_np.int64)
-            if block.ndim == 1:
-                block = block.reshape(1, -1)
-            return block @ self._np_space.T
-        return [self.processor_of(pt) for pt in points]
+        if self._np_space is None:
+            self._np_space = np.asarray(
+                [list(r) for r in self.rows[:-1]], dtype=np.int64
+            ).reshape(len(self.rows) - 1, self.n)
+        block = np.asarray(points, dtype=np.int64)
+        if block.size == 0:
+            return np.zeros((0, len(self.rows) - 1), dtype=np.int64)
+        if block.ndim == 1:
+            block = block.reshape(1, -1)
+        return block @ self._np_space.T
 
     def map_vector(self, vector: Sequence[int]) -> list[int]:
         """``T d̄``: the space-time displacement of a dependence vector."""

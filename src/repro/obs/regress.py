@@ -212,26 +212,26 @@ def _fast_repeats(repeats: int) -> int:
 def _check_analysis(report: GateReport, repeats: int, slowdown: float) -> None:
     from repro.depanalysis import AnalysisConfig, analyze
     from repro.ir.expand import expand_bit_level
+    from repro.verify.oracle_analysis import reference_analysis
 
     u, p = 3, 2
     program = expand_bit_level(
         [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [u, u, u], p, "II"
     )
 
-    def run(backend, cache=False, cache_dir=None):
-        config = AnalysisConfig(backend=backend, cache=cache,
-                                cache_dir=cache_dir)
+    def run(cache=False, cache_dir=None):
+        config = AnalysisConfig(cache=cache, cache_dir=cache_dir)
         return analyze(program, {"p": p}, method="exact", config=config)
 
     r_scalar = r_batched = None
 
     def scalar():
         nonlocal r_scalar
-        r_scalar = run("scalar")
+        r_scalar = reference_analysis(program, {"p": p}, "exact")
 
     def batched():
         nonlocal r_batched
-        r_batched = run("batched")
+        r_batched = run()
 
     t_scalar = _best_of(scalar, repeats)
     t_batched = _best_of(batched, _fast_repeats(repeats), slowdown)
@@ -256,10 +256,10 @@ def _check_analysis(report: GateReport, repeats: int, slowdown: float) -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         t_cold = _best_of(
-            lambda: run("batched", cache=True, cache_dir=cache_dir), 1
+            lambda: run(cache=True, cache_dir=cache_dir), 1
         )
         t_warm = _best_of(
-            lambda: run("batched", cache=True, cache_dir=cache_dir),
+            lambda: run(cache=True, cache_dir=cache_dir),
             _fast_repeats(repeats), slowdown,
         )
     required, baseline = _required("analysis_cache_warm", report.tolerance)

@@ -51,7 +51,7 @@ class BitLevelDesigner:
     p: int
     arithmetic: str = "add-shift"
     expansion: str | Expansion = "II"
-    #: engine backend + persistent-cache policy for the analysis steps
+    #: persistent-cache policy for the general-analysis check (validate)
     analysis: AnalysisConfig | None = None
     _structure: Algorithm | None = field(default=None, repr=False)
 
@@ -69,7 +69,6 @@ class BitLevelDesigner:
             self._structure = bit_level_from_vectors(
                 self.h1, self.h2, self.h3, self.lowers, self.uppers,
                 self.p, self.expansion.key, self.arithmetic,
-                config=self.analysis,
             )
         return self._structure
 

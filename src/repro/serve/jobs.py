@@ -6,8 +6,8 @@ direct library calls through :func:`repro.serve.dispatch.run_job` --
 speaks :class:`JobSpec` in and :class:`JobResult` out.  A ``JobSpec``
 wraps the existing per-subsystem configuration surfaces
 (:class:`~repro.depanalysis.engine.AnalysisConfig`,
-:class:`~repro.mapping.engine.SearchConfig`, the simulator/analysis
-``backend=`` knobs, :class:`~repro.verify.runner.VerifyConfig`) into a
+:class:`~repro.mapping.engine.SearchConfig`, the simulator ``backend=``
+knob, :class:`~repro.verify.runner.VerifyConfig`) into a
 single flat, frozen, hashable value with an **exact JSON round-trip**:
 ``JobSpec.from_payload(spec.to_payload()) == spec`` field for field, so
 the content address :func:`job_key` is stable across the wire.
@@ -15,8 +15,7 @@ the content address :func:`job_key` is stable across the wire.
 Job kinds and the fields they read:
 
 ================  =======================================================
-analyze           ``u p expansion method use_screens analysis_backend
-                  cache cache_dir``
+analyze           ``u p expansion method use_screens cache cache_dir``
 analyze_symbolic  ``u p expansion cache cache_dir`` (the parametric
                   analysis is solved once with ``u``/``p`` free, then
                   instantiated at the spec's concrete sizes in O(1))
@@ -54,7 +53,7 @@ __all__ = [
     "job_key",
 ]
 
-JOB_SCHEMA_VERSION = 1
+JOB_SCHEMA_VERSION = 2
 JOB_KINDS = ("analyze", "analyze_symbolic", "search", "simulate", "verify")
 
 _STATUSES = ("ok", "error", "timeout")
@@ -72,7 +71,6 @@ class JobSpec:
     # -- analyze -------------------------------------------------------------
     method: str = "exact"
     use_screens: bool = True
-    analysis_backend: str | None = None
     cache: bool | None = None
     cache_dir: str | None = None
     # -- search --------------------------------------------------------------

@@ -14,25 +14,22 @@ This module owns
 * seeded pure-``random`` generators (``gen_*``) used by the CLI runner --
   fully deterministic for a given ``random.Random``;
 * Hypothesis strategies mirroring the same envelopes, exported for the
-  property-based test suites.  Hypothesis is optional: when it is not
-  importable, :data:`HAVE_HYPOTHESIS` is ``False``, the strategy helpers
-  raise, and the pure-random generators (which never touch Hypothesis)
-  keep working.
+  property-based test suites.  Hypothesis is an optional test extra,
+  imported only inside the strategy helpers, so ``import repro`` never
+  loads it: when it is not installed, :data:`HAVE_HYPOTHESIS` is
+  ``False``, the strategy helpers raise, and the pure-random generators
+  (which never touch Hypothesis) keep working.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Sequence
 
-try:  # pragma: no cover - exercised implicitly by the test suites
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover
-    st = None  # type: ignore[assignment]
-    HAVE_HYPOTHESIS = False
+#: whether the optional Hypothesis extra is installed (found, not imported)
+HAVE_HYPOTHESIS = importlib.util.find_spec("hypothesis") is not None
 
 __all__ = [
     "EDGE_SIZES",
@@ -154,7 +151,7 @@ class Theorem31Case:
     uppers: tuple[int, ...]
     p: int
     expansion: str
-    #: analyzer backend run on the expanded program
+    #: analyzer method run on the expanded program
     method: str = "enumerate"
 
     def to_dict(self) -> dict:
@@ -182,7 +179,7 @@ def gen_theorem31_case(
     dim = rng.choice(env.word_dims)
     uppers = tuple(rng.randint(2, env.max_extent) for _ in range(dim))
     # The exact (Diophantine) analyzer is exponential; run it on a sample of
-    # the smallest cases so both backends stay cross-checked.
+    # the smallest cases so both methods stay cross-checked.
     method = "exact" if dim == 1 and rng.random() < 0.25 else "enumerate"
     return Theorem31Case(
         h1=random_word_vector(rng, dim, env.max_step),
@@ -205,10 +202,10 @@ class AnalysisCase:
     """One expanded bit-level program for the scalar-vs-batched engine oracle.
 
     The same model-(3.5) shape as :class:`Theorem31Case`, but here the two
-    sides of the differential check are the two *backends* of
-    :mod:`repro.depanalysis.engine` on one program: the batched (vectorized)
-    engine must reproduce the scalar reference bit-for-bit -- same instance
-    list, same statistics counters.
+    sides of the differential check are the batched (vectorized) engine of
+    :mod:`repro.depanalysis.engine` and the scalar reference on one
+    program: the engine must reproduce the reference bit-for-bit -- same
+    instance list, same statistics counters.
     """
 
     h1: tuple[int, ...]
@@ -218,7 +215,7 @@ class AnalysisCase:
     uppers: tuple[int, ...]
     p: int
     expansion: str
-    #: analyzer method compared across backends
+    #: analyzer method compared between engine and reference
     method: str = "enumerate"
     #: exercise the GCD/Banerjee screens (method="exact" only)
     use_screens: bool = True
@@ -803,18 +800,22 @@ def gen_simulator_case(
 # Hypothesis strategies (optional)
 # ---------------------------------------------------------------------------
 
-def _require_hypothesis() -> None:
+def _strategies():
+    """``hypothesis.strategies``, imported on first use."""
     if not HAVE_HYPOTHESIS:  # pragma: no cover
         raise RuntimeError(
             "hypothesis is not installed; use the gen_* pure-random "
             "generators instead"
         )
+    from hypothesis import strategies
+
+    return strategies
 
 
 def word_vector_strategy(dim: int, max_step: int = 2):
     """Lexicographically positive ``dim``-vectors, by construction (no
     filtering): a zero prefix, a positive pivot, free trailing entries."""
-    _require_hypothesis()
+    st = _strategies()
 
     def build(pivot: int):
         return st.tuples(
@@ -830,7 +831,7 @@ def word_vector_strategy(dim: int, max_step: int = 2):
 
 def theorem31_case_strategy(env: SizeEnvelope = SizeEnvelope()):
     """Whole :class:`Theorem31Case` draws for property-based suites."""
-    _require_hypothesis()
+    st = _strategies()
 
     def build(dim: int):
         vec = word_vector_strategy(dim, env.max_step)
@@ -851,7 +852,7 @@ def theorem31_case_strategy(env: SizeEnvelope = SizeEnvelope()):
 
 def int_vector_strategy(max_len: int = 4, bound: int = 6):
     """Short integer vectors for :mod:`repro.util` property tests."""
-    _require_hypothesis()
+    st = _strategies()
     return st.lists(
         st.integers(-bound, bound), min_size=1, max_size=max_len
     )
@@ -860,7 +861,7 @@ def int_vector_strategy(max_len: int = 4, bound: int = 6):
 def int_matrix_strategy(max_dim: int = 4, bound: int = 6):
     """Small non-ragged integer matrices for :mod:`repro.util.linalg`
     property tests."""
-    _require_hypothesis()
+    st = _strategies()
 
     def build(shape: tuple[int, int]):
         rows, cols = shape

@@ -1,16 +1,14 @@
 """Oracle: the batched dependence-analysis engine vs. the scalar reference.
 
 For one random expanded bit-level program, run :func:`repro.depanalysis.analyze`
-twice -- once with ``backend="scalar"``, once with ``backend="batched"`` --
-with the persistent cache disabled on both sides, and demand bit-identical
-results: the same ordered list of dependence instances *and* the same
-statistics counters (pairs tested, screens pruned, systems solved, points
-visited, ...).  This is the contract the vectorized engine advertises; any
-divergence is a bug in one of the two implementations.
-
-When numpy is unavailable the batched backend silently resolves to scalar
-and the check degenerates to a self-comparison, which is the intended
-no-numpy behavior.
+(the batched engine) and the scalar reference analyzer for the same method
+(:func:`~repro.depanalysis.exact.analyze_exact` or
+:func:`~repro.depanalysis.analyzer.analyze_enumerate`), with the persistent
+cache disabled, and demand bit-identical results: the same ordered list of
+dependence instances *and* the same statistics counters (pairs tested,
+screens pruned, systems solved, points visited, ...).  This is the contract
+the vectorized engine advertises; any divergence is a bug in one of the two
+implementations.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import random
 
 from repro.verify.generator import AnalysisCase, SizeEnvelope, gen_analysis_case
 
-__all__ = ["NAME", "generate", "check"]
+__all__ = ["NAME", "generate", "check", "reference_analysis"]
 
 NAME = "analysis"
 
@@ -28,21 +26,32 @@ def generate(rng: random.Random, envelope: SizeEnvelope) -> AnalysisCase:
     return gen_analysis_case(rng, envelope)
 
 
+def reference_analysis(program, binding, method: str = "exact",
+                       use_screens: bool = True):
+    """The scalar reference analyzer for ``method`` (no engine, no cache)."""
+    from repro.depanalysis.analyzer import analyze_enumerate
+    from repro.depanalysis.exact import analyze_exact
+
+    if method == "exact":
+        return analyze_exact(program, binding, use_screens=use_screens)
+    if method == "enumerate":
+        return analyze_enumerate(program, binding)
+    raise ValueError(f"unknown analysis method {method!r}")
+
+
 def check(case: AnalysisCase) -> str | None:
-    """Return a divergence description, or ``None`` when backends agree."""
+    """Return a divergence description, or ``None`` when the engine agrees
+    with the reference."""
     from repro.depanalysis.analyzer import analyze
     from repro.depanalysis.engine import AnalysisConfig
 
     program = case.build_program()
     binding = {"p": case.p}
-    results = {}
-    for backend in ("scalar", "batched"):
-        results[backend] = analyze(
-            program, binding, method=case.method,
-            use_screens=case.use_screens,
-            config=AnalysisConfig(backend=backend, cache=False),
-        )
-    scalar, batched = results["scalar"], results["batched"]
+    scalar = reference_analysis(program, binding, case.method,
+                                case.use_screens)
+    batched = analyze(program, binding, method=case.method,
+                      use_screens=case.use_screens,
+                      config=AnalysisConfig(cache=False))
     s_keys = [inst.key() for inst in scalar.instances]
     b_keys = [inst.key() for inst in batched.instances]
     if s_keys != b_keys:

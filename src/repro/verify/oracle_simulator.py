@@ -3,23 +3,19 @@
 For one random operand set, run the full space-time machine (bit-level
 lattice on a paper design, the word-level systolic baseline, the signed
 coefficient-splitting driver, or the Baugh-Wooley signed multiplier) and
-compare against an independently computed reference product -- numpy
-``object``-dtype matmul when numpy is importable, a pure-Python triple loop
-otherwise.  The bit-level modes also cross-check the simulator's measured
-makespan against the closed-form :func:`repro.mapping.schedule.
-execution_time` of the design's schedule.
+compare against an independently computed reference product -- a numpy
+``object``-dtype matmul.  The bit-level modes also cross-check the
+simulator's measured makespan against the closed-form
+:func:`repro.mapping.schedule.execution_time` of the design's schedule.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.verify.generator import SimulatorCase, SizeEnvelope, gen_simulator_case
+import numpy as np
 
-try:  # pragma: no cover - identical results either way, by construction
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.verify.generator import SimulatorCase, SizeEnvelope, gen_simulator_case
 
 __all__ = ["NAME", "generate", "check", "reference_matmul"]
 
@@ -33,20 +29,11 @@ def generate(rng: random.Random, envelope: SizeEnvelope) -> SimulatorCase:
 def reference_matmul(x, y, modulus: int | None = None) -> list[list[int]]:
     """Exact word-level ``X·Y`` (optionally mod ``modulus``).
 
-    Uses numpy with ``object`` dtype when available (arbitrary-precision
-    Python ints inside the array, so no silent wraparound), else a plain
-    triple loop.
+    Uses numpy with ``object`` dtype (arbitrary-precision Python ints
+    inside the array, so no silent wraparound).
     """
-    if _np is not None:
-        z = _np.array(x, dtype=object) @ _np.array(y, dtype=object)
-        out = [[int(v) for v in row] for row in z.tolist()]
-    else:
-        u, cols = len(x), len(y[0])
-        inner = len(y)
-        out = [
-            [sum(x[i][k] * y[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(u)
-        ]
+    z = np.array(x, dtype=object) @ np.array(y, dtype=object)
+    out = [[int(v) for v in row] for row in z.tolist()]
     if modulus is not None:
         out = [[v % modulus for v in row] for row in out]
     return out

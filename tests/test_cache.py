@@ -16,8 +16,6 @@ from repro.cache import (
     SCHEMA_VERSION,
     Uncacheable,
     Unserializable,
-    algorithm_from_payload,
-    algorithm_to_payload,
     analysis_key,
     analysis_result_from_payload,
     analysis_result_to_payload,
@@ -26,14 +24,13 @@ from repro.cache import (
     decode_obj,
     encode_obj,
     resolve_cache,
-    structure_key,
     system_key,
 )
 from repro.depanalysis import AnalysisConfig, analyze
-from repro.expansion.theorem31 import bit_level_structure, matmul_bit_level
+from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir import builders
-from repro.ir.builders import word_model_structure
 from repro.ir.expand import expand_bit_level
+from repro.verify.oracle_analysis import reference_analysis
 
 
 class TestTaggedCodec:
@@ -73,26 +70,6 @@ class TestStructureSerde:
             back = condition_from_payload(condition_to_payload(vec.validity))
             assert back == vec.validity
             assert hash(back) == hash(vec.validity)
-
-    @pytest.mark.parametrize("expansion", ["I", "II"])
-    def test_algorithm_round_trip(self, expansion):
-        alg = matmul_bit_level(2, 3, expansion)
-        payload = algorithm_to_payload(alg)
-        json.dumps(payload)
-        back = algorithm_from_payload(payload)
-        assert back.index_set == alg.index_set
-        assert list(back.dependences) == list(alg.dependences)
-        assert back.name == alg.name
-        assert back.computations.statements == alg.computations.statements
-
-    def test_semantics_not_cacheable(self):
-        prog = builders.matmul_pipelined(2)
-        alg = word_model_structure([1, 0], [0, 1], [1, 1], [1, 1], [3, 3])
-        del prog
-        object.__setattr__  # silence lint: attribute poke below is the test
-        alg.computations.semantics = lambda *a: None
-        with pytest.raises(Unserializable):
-            algorithm_to_payload(alg)
 
     def test_analysis_result_round_trip(self):
         result = analyze(builders.matmul_pipelined(3), {"u": 3}, "exact",
@@ -136,15 +113,6 @@ class TestKeys:
         prog = builders.addshift_pipelined(None)
         with pytest.raises(Uncacheable):
             analysis_key(prog, {}, "exact", True)
-
-    def test_structure_key_depends_on_inputs(self):
-        word = word_model_structure([0, 1, 0], [1, 0, 0], [0, 0, 1],
-                                    [1, 1, 1], [3, 3, 3])
-        base = structure_key(word, "add-shift", "II", 3)
-        assert base == structure_key(word, "add-shift", "II", 3)
-        assert base != structure_key(word, "add-shift", "I", 3)
-        assert base != structure_key(word, "add-shift", "II", 4)
-        assert base != structure_key(word, "carry-save", "II", 3)
 
     def test_system_key_hnf_canonical(self):
         # Row-equivalent systems share a key: [j1 - j2 = 1] written two ways.
@@ -198,18 +166,18 @@ class TestStore:
     def test_stats_and_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("analysis", "aa", 1)
-        cache.put("structure", "bb", 2)
+        cache.put("symbolic", "bb", 2)
         st = cache.stats()
         assert st["entries"] == 2
-        assert st["kinds"] == {"analysis": 1, "structure": 1}
+        assert st["kinds"] == {"analysis": 1, "symbolic": 1}
         assert cache.clear() == 2
         assert cache.stats()["entries"] == 0
 
     def test_clear_one_kind(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.put("analysis", "aa", 1)
-        cache.put("structure", "bb", 2)
-        assert cache.clear(kind="structure") == 1
+        cache.put("symbolic", "bb", 2)
+        assert cache.clear(kind="symbolic") == 1
         assert cache.stats()["kinds"] == {"analysis": 1}
 
     def test_clear_only_touches_versioned_dirs(self, tmp_path):
@@ -241,8 +209,8 @@ class TestPolicy:
 
 
 class TestEndToEnd:
-    def _config(self, tmp_path, backend=None):
-        return AnalysisConfig(backend=backend, cache=True, cache_dir=tmp_path)
+    def _config(self, tmp_path):
+        return AnalysisConfig(cache=True, cache_dir=tmp_path)
 
     @pytest.mark.parametrize("method", ["exact", "enumerate"])
     def test_analysis_cache_parity(self, tmp_path, method):
@@ -262,27 +230,18 @@ class TestEndToEnd:
             assert list(cold.stats) == list(other.stats)
 
     def test_cache_shared_across_backends(self, tmp_path):
-        # The entry is keyed on the problem, not the backend: a scalar run
-        # warms the cache for a batched one.
+        # The entry is keyed on the problem alone, and a hit returns what
+        # the scalar reference computes for it.
         prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
-        analyze(prog, {}, "exact",
-                config=self._config(tmp_path, backend="scalar"))
-        cache = ArtifactCache(tmp_path)
-        assert cache.stats()["entries"] == 1
-        analyze(prog, {}, "exact",
-                config=self._config(tmp_path, backend="batched"))
+        analyze(prog, {}, "exact", config=self._config(tmp_path))
         assert ArtifactCache(tmp_path).stats()["entries"] == 1
-
-    def test_structure_cache_round_trip(self, tmp_path):
-        word = word_model_structure([0, 1, 0], [1, 0, 0], [0, 0, 1],
-                                    [1, 1, 1], [3, 3, 3])
-        config = AnalysisConfig(cache=True, cache_dir=tmp_path)
-        cold = bit_level_structure(word, "add-shift", "II", 3, config=config)
-        assert ArtifactCache(tmp_path).stats()["kinds"] == {"structure": 1}
-        warm = bit_level_structure(word, "add-shift", "II", 3, config=config)
-        assert list(warm.dependences) == list(cold.dependences)
-        assert warm.index_set == cold.index_set
-        assert warm.name == cold.name
+        warm = analyze(prog, {}, "exact", config=self._config(tmp_path))
+        assert ArtifactCache(tmp_path).stats()["entries"] == 1
+        reference = reference_analysis(prog, {}, "exact")
+        assert [i.key() for i in warm.instances] == [
+            i.key() for i in reference.instances
+        ]
+        assert warm.stats == reference.stats
 
     def test_corrupted_analysis_entry_recomputed(self, tmp_path):
         prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")

@@ -1,22 +1,24 @@
 """Tests for the vectorized dependence-analysis engine.
 
-The batched backend's contract is bit-identical equivalence with the
-scalar reference: the same ordered instance list and the same statistics
-counters, for both the exact (Diophantine) and enumerate (hash-join)
-methods, with and without screening.  These tests pin that contract plus
-the backend-resolution policy and the numpy-level helpers.
+The engine's contract is bit-identical equivalence with the scalar
+reference analyzers (:func:`repro.depanalysis.exact.analyze_exact`,
+:func:`repro.depanalysis.analyzer.analyze_enumerate`): the same ordered
+instance list and the same statistics counters, for both the exact
+(Diophantine) and enumerate (hash-join) methods, with and without
+screening.  These tests pin that contract -- inside the engine's int64 and
+size domain and across its edges, where it hands the request to the
+reference and counts ``depanalysis.fallback`` -- plus the numpy-level
+helpers.
 """
 
 import pytest
 
-from repro.depanalysis import analyze
+from repro import obs
+from repro.depanalysis import AnalysisConfig, analyze
+from repro.depanalysis import engine
 from repro.depanalysis.engine import (
-    AnalysisConfig,
-    BACKENDS,
-    HAVE_NUMPY,
     analyze_enumerate_batched,
     analyze_exact_batched,
-    default_backend,
     resolve_backend,
 )
 from repro.ir import builders
@@ -24,17 +26,22 @@ from repro.ir.expand import expand_bit_level
 from repro.ir.expr import var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
 from repro.structures.indexset import IndexSet
+from repro.verify.oracle_analysis import reference_analysis
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required")
-
-
-def _scalar(backend):
-    return AnalysisConfig(backend=backend, cache=False)
+NO_CACHE = AnalysisConfig(cache=False)
 
 
 def _assert_identical(a, b):
     assert [i.key() for i in a.instances] == [i.key() for i in b.instances]
     assert a.stats == b.stats
+
+
+def _check_against_reference(prog, binding, method, use_screens=True):
+    _assert_identical(
+        reference_analysis(prog, binding, method, use_screens),
+        analyze(prog, binding, method, use_screens=use_screens,
+                config=NO_CACHE),
+    )
 
 
 PROGRAMS = [
@@ -44,32 +51,26 @@ PROGRAMS = [
     (builders.word_model([1, 0], [1, -1], [0, 1], [1, 1], [4, 3]), {}),
     (expand_bit_level([1], [1], [1], [1], [3], 2, "II"), {}),
     (expand_bit_level([0, 1], [1, 0], [1, 1], [1, 1], [3, 2], 3, "I"), {}),
+    # the bit-level matmul instance `repro analyze --u 3 --p 3` runs
+    (expand_bit_level([0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1],
+                      [3, 3, 3], 3, "II"), {"p": 3}),
 ]
 
 
 class TestBackendEquivalence:
+    """analyze() (the batched engine) vs the scalar reference."""
+
     @pytest.mark.parametrize("prog,binding", PROGRAMS)
     def test_exact_screens_on(self, prog, binding):
-        _assert_identical(
-            analyze(prog, binding, "exact", config=_scalar("scalar")),
-            analyze(prog, binding, "exact", config=_scalar("batched")),
-        )
+        _check_against_reference(prog, binding, "exact")
 
     @pytest.mark.parametrize("prog,binding", PROGRAMS)
     def test_exact_screens_off(self, prog, binding):
-        _assert_identical(
-            analyze(prog, binding, "exact", use_screens=False,
-                    config=_scalar("scalar")),
-            analyze(prog, binding, "exact", use_screens=False,
-                    config=_scalar("batched")),
-        )
+        _check_against_reference(prog, binding, "exact", use_screens=False)
 
     @pytest.mark.parametrize("prog,binding", PROGRAMS)
     def test_enumerate(self, prog, binding):
-        _assert_identical(
-            analyze(prog, binding, "enumerate", config=_scalar("scalar")),
-            analyze(prog, binding, "enumerate", config=_scalar("batched")),
-        )
+        _check_against_reference(prog, binding, "enumerate")
 
     def test_guarded_program(self):
         # Bit-level expansion guards statements with Eq/Or conditions; the
@@ -77,10 +78,7 @@ class TestBackendEquivalence:
         prog = expand_bit_level([0, 1, 0], [1, 0, 0], [0, 0, 1],
                                 [1, 1, 1], [2, 2, 2], 2, "II")
         for method in ("exact", "enumerate"):
-            _assert_identical(
-                analyze(prog, {"p": 2}, method, config=_scalar("scalar")),
-                analyze(prog, {"p": 2}, method, config=_scalar("batched")),
-            )
+            _check_against_reference(prog, {"p": 2}, method)
 
     def test_reversed_dependences(self):
         j = var("j")
@@ -90,14 +88,12 @@ class TestBackendEquivalence:
             [Statement("S", ArrayAccess("x", [j]),
                        [ArrayAccess("x", [j + 1])])],
         )
-        res = analyze(prog, {}, "enumerate", config=_scalar("batched"))
+        res = analyze(prog, {}, "enumerate", config=NO_CACHE)
         assert res.instances and all(
             i.kind == "reversed" for i in res.instances
         )
-        _assert_identical(res, analyze(prog, {}, "enumerate",
-                                       config=_scalar("scalar")))
+        _assert_identical(res, reference_analysis(prog, {}, "enumerate"))
 
-    @needs_numpy
     def test_non_single_assignment_detected_batched(self):
         j = var("j")
         prog = LoopNest(
@@ -117,42 +113,103 @@ class TestBackendEquivalence:
                        [ArrayAccess("x", [j, j])])],
         )
         with pytest.raises(ValueError, match="rank mismatch"):
-            analyze(prog, {}, "exact", config=_scalar("batched"))
+            analyze(prog, {}, "exact", config=NO_CACHE)
         with pytest.raises(ValueError, match="rank mismatch"):
-            analyze(prog, {}, "exact", config=_scalar("scalar"))
+            reference_analysis(prog, {}, "exact")
+
+
+def _chain(lower: int, upper: int) -> LoopNest:
+    """``x[j] = f(x[j - 1])`` over ``lower <= j <= upper``: one flow
+    dependence per point after the first."""
+    j = var("j")
+    return LoopNest(
+        ("j",),
+        IndexSet([lower], [upper], ("j",)),
+        [Statement("S", ArrayAccess("x", [j]), [ArrayAccess("x", [j - 1])])],
+    )
+
+
+def _fallbacks(prog, method, use_screens=True):
+    """The engine's result and its ``depanalysis.fallback`` count."""
+    with obs.collecting() as reg:
+        result = analyze(prog, {}, method, use_screens=use_screens,
+                         config=NO_CACHE)
+    return result, dict(reg.counters).get("depanalysis.fallback", 0)
+
+
+class TestDomainFallback:
+    """Four-point loop nests at the edge of the engine's int64 domain.
+
+    The exact method's binding guard is the screens bound
+    ``2 * max|bound| + |rhs| < 2**62`` (two unknowns, unit coefficients);
+    the box bound ``_INT64_SAFE = 2**62`` sends the whole request to the
+    reference.  The enumerate method's guards are the box bound and the
+    subscript bound ``max|bound| + |offset| < 2**62``.
+    """
+
+    @pytest.mark.parametrize("method,lower", [
+        ("exact", 2**61 - 2),     # screens bound crossed
+        ("exact", 2**62 - 2),     # box bound crossed
+        ("enumerate", 2**62 - 2),  # box bound crossed
+        # past int64 itself: without the guards the engine would raise
+        # or return wrong instances here
+        ("exact", 2**63 - 2),
+        ("enumerate", 2**63 - 2),
+    ])
+    def test_crossing_the_int64_guard_falls_back(self, method, lower):
+        prog = _chain(lower, lower + 3)
+        result, fallbacks = _fallbacks(prog, method)
+        _assert_identical(result, reference_analysis(prog, {}, method))
+        assert result.stats["instances"] == 3
+        assert fallbacks >= 1
+
+    @pytest.mark.parametrize("method,lower", [
+        ("exact", 2**61 - 4),
+        ("enumerate", 2**62 - 5),
+    ])
+    def test_just_inside_the_int64_guard_stays_batched(self, method, lower):
+        prog = _chain(lower, lower + 3)
+        result, fallbacks = _fallbacks(prog, method)
+        _assert_identical(result, reference_analysis(prog, {}, method))
+        assert result.stats["instances"] == 3
+        assert fallbacks == 0
+
+    def test_grid_cap_falls_back(self, monkeypatch):
+        prog, binding = PROGRAMS[0]
+        monkeypatch.setattr(engine, "_GRID_CAP", 0)
+        with obs.collecting() as reg:
+            result = analyze(prog, binding, "exact", config=NO_CACHE)
+        _assert_identical(result, reference_analysis(prog, binding, "exact"))
+        assert dict(reg.counters).get("depanalysis.fallback", 0) >= 1
+
+    def test_points_cap_falls_back(self, monkeypatch):
+        prog, binding = PROGRAMS[0]
+        monkeypatch.setattr(engine, "_POINTS_CAP", 0)
+        with obs.collecting() as reg:
+            result = analyze(prog, binding, "enumerate", config=NO_CACHE)
+        _assert_identical(result,
+                          reference_analysis(prog, binding, "enumerate"))
+        assert dict(reg.counters).get("depanalysis.fallback") == 1
 
 
 class TestBackendResolution:
-    def test_backends_tuple(self):
-        assert BACKENDS == ("scalar", "batched")
-
     def test_explicit_names(self):
-        assert resolve_backend("scalar") == "scalar"
-        if HAVE_NUMPY:
-            assert resolve_backend("batched") == "batched"
+        assert resolve_backend("batched") == "batched"
+        with pytest.raises(ValueError):
+            resolve_backend("scalar")
 
-    def test_auto_is_default(self):
-        assert resolve_backend("auto") == default_backend()
-        if HAVE_NUMPY:
-            assert default_backend() == "batched"
+    def test_default_is_batched(self):
+        assert resolve_backend() == resolve_backend(None) == "batched"
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             resolve_backend("gpu")
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "scalar")
-        assert resolve_backend(None) == "scalar"
-        monkeypatch.delenv("REPRO_ANALYSIS_BACKEND")
-        assert resolve_backend(None) == default_backend()
-
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            analyze(builders.model_1d(upper=3), {}, "magic",
-                    config=_scalar("batched"))
+            analyze(builders.model_1d(upper=3), {}, "magic", config=NO_CACHE)
 
 
-@needs_numpy
 class TestNumpyHelpers:
     def test_box_lattice_matches_product_order(self):
         import itertools
@@ -185,23 +242,19 @@ class TestNumpyHelpers:
 
 
 class TestObsCounters:
-    @needs_numpy
     def test_batched_counters_emitted(self):
-        from repro import obs
-
         prog = builders.matmul_pipelined(3)
         with obs.collecting() as reg:
-            analyze(prog, {"u": 3}, "exact", config=_scalar("batched"))
+            analyze(prog, {"u": 3}, "exact", config=NO_CACHE)
         counters = dict(reg.counters)
         assert counters.get("depanalysis.pairs_batch_screened", 0) > 0
         assert counters.get("depanalysis.pairs_tested", 0) > 0
+        assert "depanalysis.fallback" not in counters
 
     def test_scalar_counters_match_stats(self):
-        from repro import obs
-
         prog = builders.matmul_pipelined(2)
         with obs.collecting() as reg:
-            res = analyze(prog, {"u": 2}, "exact", config=_scalar("scalar"))
+            res = reference_analysis(prog, {"u": 2}, "exact")
         counters = dict(reg.counters)
         for key, value in res.stats.items():
             assert counters.get(f"depanalysis.{key}") == value

@@ -217,16 +217,14 @@ class TestInstrumentedLayers:
     def test_analyze_scalar_times_each_pair(self):
         # Only the scalar reference walks pairs one at a time; the batched
         # engine screens them in bulk and records no per-pair histogram.
-        from repro.depanalysis import AnalysisConfig, analyze
+        from repro.depanalysis.exact import analyze_exact
         from repro.ir.expand import expand_bit_level
 
         prog = expand_bit_level(
             [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [2, 2, 2], 2, "II"
         )
         with obs.collecting() as reg:
-            result = analyze(prog, {"p": 2}, method="exact",
-                             config=AnalysisConfig(backend="scalar",
-                                                   cache=False))
+            result = analyze_exact(prog, {"p": 2})
         assert (
             reg.histograms["depanalysis.pair_seconds"].count
             == result.stats["pairs_tested"]

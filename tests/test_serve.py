@@ -2,8 +2,8 @@
 
 Covers the frozen JobSpec schema and its exact JSON round-trip, the
 shared dispatch's CLI-output parity, request coalescing (N concurrent
-identical analyze jobs -> exactly one vectorized-engine call), analyze
-batching, budget enforcement, the HTTP client/server round trip, and
+identical analyze jobs -> exactly one vectorized-engine call), batch
+submission, budget enforcement, the HTTP client/server round trip, and
 the promoted top-level API with its deprecation shims.
 """
 
@@ -182,7 +182,7 @@ class TestLimits:
 
 
 # ---------------------------------------------------------------------------
-# The server: coalescing, batching, budgets, streaming
+# The server: coalescing, batch submission, budgets, streaming
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -248,9 +248,8 @@ class TestServer:
             solo = run_job(spec)
             assert _norm(result.output) == _norm(solo.output)
         stats = client.stats()["server"]
-        assert stats["analysis.engine_calls"] == 1
-        assert stats["serve.batches"] == 1
-        assert stats["serve.batched_jobs"] == 3
+        assert stats["analysis.engine_calls"] == 3
+        assert stats["serve.executions"] == 3
 
     def test_mixed_batch_runs_every_kind(self, server):
         client = ServeClient(port=server.port)
@@ -299,6 +298,18 @@ class TestServer:
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/jobs", {"kind": "nope"})
         assert excinfo.value.status == 400
+
+    def test_schema_1_payload_is_400(self, server):
+        """A payload from before the analysis backend switch was removed
+        gets the structured schema refusal, not a silent reinterpretation."""
+        from repro.serve import ServeError
+
+        client = ServeClient(port=server.port)
+        payload = {"schema": 1, "kind": "analyze", "u": 2, "p": 2}
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/jobs", payload)
+        assert excinfo.value.status == 400
+        assert "unsupported job schema version" in str(excinfo.value)
 
     def test_admission_refusal_is_structured(self):
         config = ServerConfig(limits=JobLimits(max_points=10))

@@ -192,3 +192,23 @@ def test_verify_emits_obs_counters():
         metrics = obs.metrics_dict(reg)
     assert metrics["counters"]["verify.theorem31.cases"] == SMALL.cases
     assert "verify.theorem31" in metrics["spans"]
+
+
+def test_import_repro_does_not_load_hypothesis():
+    """Hypothesis is a test-only extra: the strategy helpers import it on
+    first use, so a plain ``import repro`` never pays for it."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('hypothesis' in sys.modules)"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "False"
