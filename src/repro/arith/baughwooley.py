@@ -23,8 +23,6 @@ for every operand pair.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arith.structure import ArithmeticStructure
 from repro.structures.indexset import IndexSet
 from repro.structures.params import LinExpr, S, as_linexpr
@@ -82,44 +80,6 @@ class BaughWooleyMultiplier:
         if total >> (2 * p - 1):
             total -= 1 << (2 * p)
         return total
-
-    def multiply_block(self, a, b):
-        """:meth:`multiply` over whole operand blocks: the Baugh-Wooley
-        heap evaluated with array arithmetic (inverted sign-row/column
-        partial products and the two correction constants included), so a
-        scheme bug would corrupt the batched results exactly as it would
-        the scalar ones."""
-        p = self.p
-        if 2 * p > 62:
-            return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        lo, hi = -(1 << (p - 1)), (1 << (p - 1)) - 1
-        for value, name in ((a, "a"), (b, "b")):
-            bad = (value < lo) | (value > hi)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(
-                    f"{name}={int(value[k])} outside the {p}-bit signed range"
-                )
-        shifts = np.arange(p, dtype=np.int64)
-        a_bits = (a[:, None] >> shifts) & 1  # arithmetic shift: 2's complement
-        b_bits = (b[:, None] >> shifts) & 1
-        core_w = (
-            1 << (shifts[: p - 1, None] + shifts[None, : p - 1])
-        ).astype(np.int64)
-        total = (
-            (a_bits[:, : p - 1, None] & b_bits[:, None, : p - 1]) * core_w
-        ).sum(axis=(1, 2))
-        sign_w = (1 << (p - 1 + shifts[: p - 1])).astype(np.int64)
-        total += ((1 - (a_bits[:, p - 1 :] & b_bits[:, : p - 1])) * sign_w).sum(axis=1)
-        total += ((1 - (a_bits[:, : p - 1] & b_bits[:, p - 1 :])) * sign_w).sum(axis=1)
-        total += (a_bits[:, p - 1] & b_bits[:, p - 1]) << (2 * p - 2)
-        total += (1 << p) + (1 << (2 * p - 1))  # correction constants
-        total &= (1 << (2 * p)) - 1
-        return np.where(
-            (total >> (2 * p - 1)) != 0, total - (1 << (2 * p)), total
-        )
 
     @property
     def steps(self) -> int:

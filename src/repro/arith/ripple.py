@@ -10,8 +10,6 @@ sequential word multipliers) and as a dependence structure.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arith.bitops import from_bits, full_adder, to_bits
 from repro.structures.algorithm import Algorithm, ComputationSet
 from repro.structures.conditions import TRUE
@@ -40,21 +38,6 @@ class RippleCarryAdder:
             sb, carry = full_adder(a_bits[k], b_bits[k], carry)
             out.append(sb)
         return from_bits(out), carry
-
-    def add_block(self, a, b, carry_in: int = 0):
-        """:meth:`add` over whole operand blocks.
-
-        Returns ``(sums, carry_outs)`` as int64 ndarrays when the width
-        fits a machine word, else as lists.  Used by the wavefront slot
-        kernels to add a time slot's operands at once.
-        """
-        if self.width > 62:
-            pairs = [self.add(int(x), int(y), carry_in) for x, y in zip(a, b)]
-            return [s for s, _ in pairs], [c for _, c in pairs]
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        total = a + b + int(carry_in)
-        return total & ((1 << self.width) - 1), total >> self.width
 
     @property
     def steps(self) -> int:

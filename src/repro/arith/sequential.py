@@ -17,21 +17,9 @@ the word-level baseline can be both simulated and costed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arith.ripple import RippleCarryAdder
 
 __all__ = ["SequentialAddShift", "SequentialCarrySave", "word_multiplier_cycles"]
-
-
-def _check_block_operands(a, b, p: int):
-    """Vectorized range check shared by the block multipliers."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    hi = 1 << p
-    if ((a < 0) | (a >= hi) | (b < 0) | (b >= hi)).any():
-        raise ValueError("operands exceed the word length")
-    return a, b
 
 
 class SequentialAddShift:
@@ -54,23 +42,6 @@ class SequentialAddShift:
                 acc, carry = self._adder.add(acc, (a << i) & ((1 << (2 * p)) - 1))
                 if carry:
                     raise AssertionError("2p-bit accumulator overflow")
-        return acc
-
-    def multiply_block(self, a, b):
-        """:meth:`multiply` over whole operand blocks (one shifted-add
-        sweep per bit position, each addition done block-wide) -- the
-        wavefront slot kernels' batched multiply.  Falls back to the
-        scalar loop when ``2p`` exceeds a machine word."""
-        p = self.p
-        if 2 * p > 62:
-            return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
-        a, b = _check_block_operands(a, b, p)
-        mask = (1 << (2 * p)) - 1
-        acc = np.zeros_like(a)
-        for i in range(p):
-            acc = acc + np.where((b >> i) & 1 == 1, (a << i) & mask, 0)
-            if (acc > mask).any():
-                raise AssertionError("2p-bit accumulator overflow")
         return acc
 
     @property
@@ -104,27 +75,6 @@ class SequentialCarrySave:
             s, c = new_s, new_c
         out, carry = self._adder.add(s, c)
         if carry:
-            raise AssertionError("2p-bit accumulator overflow")
-        return out
-
-    def multiply_block(self, a, b):
-        """:meth:`multiply` over whole operand blocks: the redundant
-        ``(sum, carry)`` compression runs block-wide per bit position and
-        the final carry-propagate add is one vector add."""
-        p = self.p
-        if 2 * p > 62:
-            return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
-        a, b = _check_block_operands(a, b, p)
-        mask = (1 << (2 * p)) - 1
-        s = np.zeros_like(a)
-        c = np.zeros_like(a)
-        for i in range(p):
-            pp = np.where((b >> i) & 1 == 1, (a << i) & mask, 0)
-            new_s = s ^ c ^ pp
-            new_c = (((s & c) | (c & pp) | (pp & s)) << 1) & mask
-            s, c = new_s, new_c
-        out = s + c
-        if (out > mask).any():
             raise AssertionError("2p-bit accumulator overflow")
         return out
 

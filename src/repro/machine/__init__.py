@@ -13,11 +13,16 @@ early arrivals sit in link buffers:
 * :mod:`repro.machine.simulator` -- the space-time executor: runs an
   algorithm's computations in schedule order with exact arrival checking
   and conflict detection;
+* :mod:`repro.machine.model` / :mod:`repro.machine.wordmodel` -- the
+  bit-level compressor cell and the word-level multiply-accumulate cell
+  of any model-(3.5) instance: one per-point compute per machine level;
 * :mod:`repro.machine.bitlevel` -- the bit-level matrix-multiplication
-  machine: executes the Expansion I/II matmul on a mapped array and checks
-  the product bit-exactly;
+  machine, a front end over the model cell at Example 3.1's ``h̄``
+  vectors (plus the vectorized slot kernel): executes the Expansion I/II
+  matmul on a mapped array and checks the product bit-exactly;
 * :mod:`repro.machine.wordlevel` -- the word-level baseline array [4] with
-  pluggable sequential arithmetic (``t_b``).
+  pluggable sequential arithmetic (``t_b``), a front end over the
+  word-level model cell.
 """
 
 from repro.machine.array import SystolicArray

@@ -1,7 +1,7 @@
 """Bit-level execution of arbitrary model-(3.5) algorithms on mapped arrays.
 
-:class:`BitLevelModelMachine` generalizes the matrix-multiplication machine
-to any word-level algorithm of the form (3.5)::
+:class:`BitLevelModelMachine` runs any word-level algorithm of the form
+(3.5)::
 
     x(j̄) = x(j̄ - h̄₁);  y(j̄) = y(j̄ - h̄₂);
     z(j̄) = z(j̄ - h̄₃) + x(j̄) · y(j̄)
@@ -17,12 +17,16 @@ equal ``x(j̄-h̄₁)`` whenever both are inside ``J_w``), then runs every bit
 through the space-time executor with full conflict/causality checking, and
 returns the accumulated ``z`` words at the ends of the ``h̄₃`` chains --
 verified reproducible against the word-level recurrence mod ``2^{2p-1}``.
+
+Its per-point compressor cell is the package's only bit-level compute:
+:class:`~repro.machine.bitlevel.BitLevelMatmulMachine` runs it at matmul's
+``h̄`` vectors through :meth:`BitLevelModelMachine.simulate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.arith.bitops import to_bits
 from repro.expansion.expansions import Expansion, get_expansion
@@ -34,6 +38,15 @@ from repro.structures.indexset import IndexSet
 __all__ = ["BitLevelModelMachine", "ModelRun"]
 
 Point = tuple[int, ...]
+
+
+def shift_in_box(bounds, j: Point, h: Sequence[int], sign: int) -> Point | None:
+    """``j̄ + sign·h̄`` if it lies in the box ``bounds``, else ``None``."""
+    out = tuple(a + sign * b for a, b in zip(j, h))
+    for x, (lo, hi) in zip(out, bounds):
+        if not lo <= x <= hi:
+            return None
+    return out
 
 
 @dataclass
@@ -80,6 +93,7 @@ class BitLevelModelMachine:
             h1, h2, h3, lowers, uppers, p, self.expansion.key
         )
         self.word_set = IndexSet(list(lowers), list(uppers))
+        self._bounds = self.word_set.bounds({})
         self.binding: dict[str, int] = {}
 
     # -- operand validation ----------------------------------------------------
@@ -91,16 +105,15 @@ class BitLevelModelMachine:
                 raise ValueError(f"{name} word missing at {j}")
             if not (0 <= words[j] < (1 << self.p)):
                 raise ValueError(f"{name}[{j}] exceeds the word length")
-            src = tuple(a - b for a, b in zip(j, h))
-            if self.word_set.contains(src, {}) and words[src] != words[j]:
+            src = shift_in_box(self._bounds, j, h, -1)
+            if src is not None and words[src] != words[j]:
                 raise ValueError(
                     f"{name} violates its pipelining recurrence at {j}: "
                     f"{name}(j̄) = {words[j]} but {name}(j̄-h̄) = {words[src]}"
                 )
 
     def _is_chain_final(self, j: Point) -> bool:
-        nxt = tuple(a + b for a, b in zip(j, self.h3))
-        return not self.word_set.contains(nxt, {})
+        return shift_in_box(self._bounds, j, self.h3, 1) is None
 
     # -- execution ----------------------------------------------------------------
     def run(
@@ -123,121 +136,31 @@ class BitLevelModelMachine:
         """
         self._check_pipelining(x_words, self.h1, "x")
         self._check_pipelining(y_words, self.h2, "y")
-        z_init = dict(z_init or {})
-        p, n = self.p, self.n
+        p = self.p
         mask = (1 << (2 * p - 1)) - 1
-        exp1 = self.expansion.key == "I"
-        state = {"dropped": 0, "max_summands": 0}
-
-        x_bits = {j: to_bits(x_words[j], p) for j in self.word_set.points({})}
-        y_bits = {j: to_bits(y_words[j], p) for j in self.word_set.points({})}
         z_init_bits = {
-            j: to_bits(v & mask, 2 * p - 1) for j, v in z_init.items()
+            j: to_bits(v & mask, 2 * p - 1) for j, v in (z_init or {}).items()
         }
-
-        def split(q: Point) -> tuple[Point, int, int]:
-            return q[:n], q[n], q[n + 1]
-
-        def word_shift(j: Point, h: tuple[int, ...]) -> Point:
-            return tuple(a - b for a, b in zip(j, h))
-
-        def z_boundary_bit(j: Point, w: int) -> int:
-            """Initial z bit of weight position w for a chain starting at j."""
-            bits = z_init_bits.get(j)
-            return bits[w - 1] if bits else 0
-
-        def compute(q: Point, store: ValueStore) -> None:
-            j, i1, i2 = split(q)
-
-            # x bit (index i2 of the multiplicand word).
-            if i1 == 1:
-                src_j = word_shift(j, self.h1)
-                if self.word_set.contains(src_j, {}):
-                    xb = store.get("x", (*src_j, 1, i2))
-                else:
-                    xb = x_bits[j][i2 - 1]
-            else:
-                xb = store.get("x", (*j, i1 - 1, i2))
-            store.put("x", q, xb)
-
-            # y bit (index i1 of the multiplier word).
-            if i2 == 1:
-                src_j = word_shift(j, self.h2)
-                if self.word_set.contains(src_j, {}):
-                    yb = store.get("y", (*src_j, i1, 1))
-                else:
-                    yb = y_bits[j][i1 - 1]
-            else:
-                yb = store.get("y", (*j, i1, i2 - 1))
-            store.put("y", q, yb)
-
-            inputs = xb & yb
-            if i2 > 1:
-                inputs += store.get("c", (*j, i1, i2 - 1), 0)
-            inputs += store.pop_pending("nr", q)
-
-            prev_j = word_shift(j, self.h3)
-            prev_inside = self.word_set.contains(prev_j, {})
-            on_boundary = i1 == p or i2 == 1
-            w = i1 + i2 - 1
-
-            if exp1:
-                # Position-wise z forwarding at every point.  A chain-start
-                # iteration instead decomposes the initial word over the
-                # lattice: bit of weight position w enters at its boundary
-                # owner point only ((w, 1), or (p, w-p+1) for the high half).
-                if prev_inside:
-                    inputs += store.get("s", (*prev_j, i1, i2))
-                else:
-                    owner = (w, 1) if w <= p else (p, w - p + 1)
-                    if (i1, i2) == owner:
-                        inputs += z_boundary_bit(j, w)
-                if self._is_chain_final(j):
-                    if i1 > 1 and i2 < p:
-                        inputs += store.get("s", (*j, i1 - 1, i2 + 1), 0)
-                    if i2 > 2:
-                        inputs += store.get("c2", (*j, i1, i2 - 2), 0)
-            else:
-                if i1 > 1 and i2 < p:
-                    inputs += store.get("s", (*j, i1 - 1, i2 + 1), 0)
-                if on_boundary:
-                    if prev_inside:
-                        inputs += store.get("s", (*prev_j, i1, i2))
-                    else:
-                        inputs += z_boundary_bit(j, w)
-                if i1 == p and i2 > 2:
-                    inputs += store.get("c2", (*j, i1, i2 - 2), 0)
-
-            if inputs > 7:
-                raise AssertionError(f"compressor overflow at {q}: {inputs}")
-            state["max_summands"] = max(state["max_summands"], inputs)
-            store.put("s", q, inputs & 1)
-            self._route(store, q, 1, (inputs >> 1) & 1, state, "c")
-            self._route(store, q, 2, (inputs >> 2) & 1, state, "c2")
-
-        # Generic model lattices run the wavefront backend through its
-        # generic path (batched transforms, slot-ordered firing).
-        sim = SpaceTimeSimulator(
-            self.mapping, self.algorithm, self.binding, backend=self.backend
+        state = {"dropped": 0, "max_summands": 0}
+        sim, result = self.simulate(
+            lambda j: to_bits(x_words[j], p),
+            lambda j: to_bits(y_words[j], p),
+            z_init_bits.get,
+            state,
         )
-        result = sim.run(compute)
 
         # Extract z words.  Under Expansion I, non-final iterations hold a
         # position-wise redundant state; words are extracted at chain-final
         # iterations only.  Under Expansion II, every iteration has a
         # complete word at its boundary.
+        exp1 = self.expansion.key == "I"
         z_words: dict[Point, int] = {}
         outputs: dict[Point, int] = {}
         for j in self.word_set.points({}):
             final = self._is_chain_final(j)
             if exp1 and not final:
                 continue
-            value = 0
-            for wpos in range(1, p + 1):
-                value |= sim.store.get("s", (*j, wpos, 1)) << (wpos - 1)
-            for k in range(2, p + 1):
-                value |= sim.store.get("s", (*j, p, k)) << (p + k - 2)
-            z_words[j] = value
+            z_words[j] = value = self.read_word(sim.store, j)
             if final:
                 outputs[j] = value
         return ModelRun(
@@ -248,30 +171,152 @@ class BitLevelModelMachine:
             max_summands=state["max_summands"],
         )
 
-    # -- carry routing (same weight discipline as the matmul machine) -----
-    def _route(
+    def simulate(
         self,
-        store: ValueStore,
-        q: Point,
-        offset: int,
-        bit: int,
+        x_entry: Callable[[Point], Sequence[int]],
+        y_entry: Callable[[Point], Sequence[int]],
+        z_entry: Callable[[Point], Sequence[int] | None],
         state: dict,
-        var: str,
-    ) -> None:
-        j, i1, i2 = q[: self.n], q[self.n], q[self.n + 1]
-        p = self.p
-        if not bit:
+        kernel=None,
+    ) -> tuple[SpaceTimeSimulator, SimulationResult]:
+        """Fire every bit-level point; return the simulator and its result.
+
+        ``x_entry(j̄)`` / ``y_entry(j̄)`` give the bits of the word entering
+        at a word point whose ``h̄₁`` / ``h̄₂`` source lies outside ``J_w``;
+        ``z_entry(j̄)`` the ``2p - 1`` initial accumulator bits of a chain
+        start (or ``None`` for zero).  ``state`` is the ``{"dropped",
+        "max_summands"}`` dict the run updates, and ``kernel`` an optional
+        wavefront slot kernel with the same semantics (see
+        :meth:`SpaceTimeSimulator.run`).  The final ``s`` bits stay in
+        ``sim.store`` for :meth:`read_word`.
+        """
+        sim = SpaceTimeSimulator(
+            self.mapping, self.algorithm, self.binding, backend=self.backend
+        )
+        compute = self._compute(x_entry, y_entry, z_entry, state)
+        return sim, sim.run(compute, kernel=kernel)
+
+    def _compute(self, x_entry, y_entry, z_entry, state):
+        """The per-point compressor cell of model (3.5).
+
+        Word-level facts (``h̄`` sources inside ``J_w``, entering words,
+        chain-final flag) come from a per-word-point row built the first
+        time the word point fires, so a run that never calls the cell (a
+        slot kernel) builds none.
+        """
+        n, p = self.n, self.p
+        exp1 = self.expansion.key == "I"
+        bounds = self._bounds
+        h1, h2, h3 = self.h1, self.h2, self.h3
+        rows: dict[Point, tuple] = {}
+
+        def word_row(j: Point) -> tuple:
+            src_x = shift_in_box(bounds, j, h1, -1)
+            src_y = shift_in_box(bounds, j, h2, -1)
+            prev = shift_in_box(bounds, j, h3, -1)
+            return (
+                src_x, x_entry(j) if src_x is None else None,
+                src_y, y_entry(j) if src_y is None else None,
+                prev, z_entry(j) if prev is None else None,
+                self._is_chain_final(j),
+            )
+
+        def route(store, q, j, i1, i2, offset, bit, var):
+            """Carry (``offset`` 1) or second carry (2): along the row while
+            inside it, else re-routed south to the column-``p`` owner of its
+            weight, else dropped as accumulator overflow."""
             if i2 + offset <= p:
-                store.put(var, q, 0)
-            return
-        if i2 + offset <= p:
-            store.put(var, q, 1)
-            return
-        pos = (i1 + i2 - 1) + offset
-        if pos <= 2 * p - 1:
-            store.add_pending("nr", (*j, pos - p + 1, p), 1)
-        else:
-            state["dropped"] += 1
+                store.put(var, q, bit)
+            elif bit:
+                pos = i1 + i2 - 1 + offset
+                if pos <= 2 * p - 1:
+                    store.add_pending("nr", j + (pos - p + 1, p), 1)
+                else:
+                    state["dropped"] += 1
+
+        def compute(q: Point, store: ValueStore) -> None:
+            j = q[:n]
+            i1, i2 = q[n], q[n + 1]
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = word_row(j)
+            src_x, x_in, src_y, y_in, prev, z_in, final = row
+
+            # x bit (index i2 of the multiplicand word), moving along i1.
+            if i1 > 1:
+                xb = store.get("x", j + (i1 - 1, i2))
+            elif src_x is None:
+                xb = x_in[i2 - 1]
+            else:
+                xb = store.get("x", src_x + (1, i2))
+            store.put("x", q, xb)
+
+            # y bit (index i1 of the multiplier word), moving along i2; the
+            # carry comes along the row from the same western neighbour.
+            if i2 > 1:
+                west = j + (i1, i2 - 1)
+                yb = store.get("y", west)
+                store.put("y", q, yb)
+                inputs = (xb & yb) + store.get("c", west, 0)
+            else:
+                yb = y_in[i1 - 1] if src_y is None else store.get(
+                    "y", src_y + (i1, 1)
+                )
+                store.put("y", q, yb)
+                inputs = xb & yb
+            inputs += store.pop_pending("nr", q)
+
+            # A chain-start iteration's initial z word enters bit by bit at
+            # the boundary owner of each weight position w = i1 + i2 - 1:
+            # (w, 1), or (p, w - p + 1) for the high half.
+            on_boundary = i1 == p or i2 == 1
+            if exp1:
+                # Expansion I: position-wise z forwarding at every point;
+                # the δ̄₃ collapse and c' only at the chain-final iteration.
+                if prev is not None:
+                    inputs += store.get("s", prev + (i1, i2))
+                elif z_in is not None and on_boundary:
+                    inputs += z_in[i1 + i2 - 2]
+                if final:
+                    if i1 > 1 and i2 < p:
+                        inputs += store.get("s", j + (i1 - 1, i2 + 1), 0)
+                    if i2 > 2:
+                        inputs += store.get("c2", j + (i1, i2 - 2), 0)
+            else:
+                # Expansion II: the δ̄₃ collapse everywhere; the previous
+                # iteration's final z bits injected at the boundary; c' on
+                # the i1 = p hyperplane.
+                if i1 > 1 and i2 < p:
+                    inputs += store.get("s", j + (i1 - 1, i2 + 1), 0)
+                if on_boundary:
+                    if prev is not None:
+                        inputs += store.get("s", prev + (i1, i2))
+                    elif z_in is not None:
+                        inputs += z_in[i1 + i2 - 2]
+                if i1 == p and i2 > 2:
+                    inputs += store.get("c2", j + (i1, i2 - 2), 0)
+
+            if inputs > 7:
+                raise AssertionError(f"compressor overflow at {q}: {inputs}")
+            if inputs > state["max_summands"]:
+                state["max_summands"] = inputs
+            store.put("s", q, inputs & 1)
+            route(store, q, j, i1, i2, 1, (inputs >> 1) & 1, "c")
+            route(store, q, j, i1, i2, 2, (inputs >> 2) & 1, "c2")
+
+        return compute
+
+    def read_word(self, store: ValueStore, j: Point) -> int:
+        """The ``2p - 1``-bit z word at word point ``j̄``: its boundary sum
+        bits, ``(w, 1)`` for weights ``1..p`` then ``(p, k)`` for
+        ``p+1..2p-1``."""
+        p = self.p
+        value = 0
+        for w in range(1, p + 1):
+            value |= store.get("s", (*j, w, 1)) << (w - 1)
+        for k in range(2, p + 1):
+            value |= store.get("s", (*j, p, k)) << (p + k - 2)
+        return value
 
     # -- reference semantics (for verification) ---------------------------
     def reference(
@@ -285,7 +330,7 @@ class BitLevelModelMachine:
         mask = (1 << (2 * self.p - 1)) - 1
         z: dict[Point, int] = {}
         for j in self.word_set.points({}):  # lexicographic: sources first
-            prev = tuple(a - b for a, b in zip(j, self.h3))
-            acc = z[prev] if self.word_set.contains(prev, {}) else z_init.get(j, 0)
+            prev = shift_in_box(self._bounds, j, self.h3, -1)
+            acc = z_init.get(j, 0) if prev is None else z[prev]
             z[j] = (acc + x_words[j] * y_words[j]) & mask
         return {j: v for j, v in z.items() if self._is_chain_final(j)}

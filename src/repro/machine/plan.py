@@ -13,7 +13,7 @@ to value execution.
 Two plan shapes exist:
 
 * :class:`SchedulePlan`: dense arrays + slot slices, consumed by the
-  wavefront slot kernels;
+  wavefront slot kernel;
 * :class:`GenericPlan` (pure Python): the point list, batched times /
   processors, and time-bucketed slots used by the generic per-point
   path, memoized only for plain box index sets (whose point enumeration
@@ -132,7 +132,7 @@ def _group_counts(encoded, rows):
 
 
 # ---------------------------------------------------------------------------
-# Dense plans (slot kernels)
+# Dense plans (slot kernel)
 # ---------------------------------------------------------------------------
 
 class SchedulePlan:

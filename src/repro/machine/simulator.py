@@ -23,9 +23,9 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
   up front (one batched ``times_of`` matmul, memoized per design by
   :mod:`repro.machine.plan`), whole time slots fire at once against dense
   array-indexed storage, and the machine-model checks run as per-slot
-  assertions.  The shipped arithmetic machines provide vectorized slot
-  kernels; generic ``compute`` callables, and words past a kernel's exact
-  domain, run through its per-point generic path.
+  assertions.  The bit-level matmul machine provides the one vectorized
+  slot kernel; generic ``compute`` callables, and words past the kernel's
+  exact domain, run through its per-point generic path.
 
 Both backends produce identical :class:`SimulationResult` values, store
 contents, and observability metrics; the default is selected by

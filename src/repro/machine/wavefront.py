@@ -25,14 +25,16 @@ it the way the hardware would -- whole time slots at once:
 
 Two execution surfaces exist:
 
-* :func:`run_wavefront` with a *slot kernel* (:class:`MatmulSlotKernel`,
-  :class:`WordMatmulSlotKernel`) -- fully vectorized; the shipped
-  arithmetic machines provide kernels and this is where the order-of-
-  magnitude speedups come from;
+* :func:`run_wavefront` with the one *slot kernel*,
+  :class:`MatmulSlotKernel` -- fully vectorized; the bit-level matmul
+  machine hands it over while ``p <= MATMUL_KERNEL_MAX_P``, and this is
+  where the order-of-magnitude speedups come from;
 * :func:`run_wavefront` with only a generic per-point ``compute`` callable
   -- the generic path: points still go through the batched transforms
-  and fire in slot order, but the callable runs per point against the
-  ordinary dict-backed :class:`ValueStore`.
+  and fire in slot order, but the callable (the model machines' cell)
+  runs per point against the ordinary dict-backed :class:`ValueStore`.
+  Everything else runs here: wide words, the generic model-(3.5)
+  machines and the word-level machines.
 
 The run-invariant schedule structure of both surfaces comes from the
 memoized plans of :mod:`repro.machine.plan`.
@@ -59,7 +61,6 @@ __all__ = [
     "DenseValueStore",
     "SlotCounters",
     "MatmulSlotKernel",
-    "WordMatmulSlotKernel",
     "run_wavefront",
 ]
 
@@ -214,7 +215,7 @@ class DenseValueStore:
 
 
 # ---------------------------------------------------------------------------
-# Counter accounting shared by the slot kernels
+# Counter accounting of the slot kernel
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -412,10 +413,11 @@ class MatmulSlotKernel:
 
     Exact for ``p <= MATMUL_KERNEL_MAX_P``; callers fall back outside it.
 
-    Implements exactly the per-point semantics of
-    :meth:`repro.machine.bitlevel.BitLevelMatmulMachine.run`'s ``compute``
-    -- the add-shift compressor lattice of Example 3.1 under Expansion I or
-    II, including the boundary carry re-routing -- but consumes a whole
+    Implements exactly the per-point semantics of the
+    :class:`repro.machine.model.BitLevelModelMachine` cell at matmul's
+    ``h̄`` vectors -- the add-shift compressor lattice of Example 3.1 under
+    Expansion I or II, including the boundary carry re-routing, with every
+    chain starting from ``z = 0`` -- but consumes a whole
     time slot's point block per step.  The signed coefficient-splitting
     driver (:func:`repro.machine.signed.signed_matmul`) runs through this
     kernel unchanged, since splitting happens at the word level.
@@ -601,78 +603,4 @@ class MatmulSlotKernel:
         counters.writes += writes
         self.state["dropped"] = self.state.get("dropped", 0) + dropped
         self.state["max_summands"] = max_summands
-        return counters
-
-
-# ---------------------------------------------------------------------------
-# The word-level matmul slot kernel (sequential arithmetic, batched)
-# ---------------------------------------------------------------------------
-
-class WordMatmulSlotKernel:
-    """Vectorized slot kernel for the word-level baseline array.
-
-    Mirrors :meth:`repro.machine.wordlevel.WordLevelMatmulMachine.run`'s
-    per-point compute; products come from the sequential multiplier's
-    batched ``multiply_block`` (add-shift or carry-save), so the arithmetic
-    algorithm under test still computes every product bit.
-    """
-
-    def __init__(self, u: int, multiplier, x, y):
-        self.u = int(u)
-        self.multiplier = multiplier
-        self.lowers = (1, 1, 1)
-        self.uppers = (u, u, u)
-        self._x = _np.asarray(x, dtype=_np.int64)
-        self._y = _np.asarray(y, dtype=_np.int64)
-
-    def execute(self, plan, store: DenseValueStore) -> SlotCounters:
-        np = _np
-        u = self.u
-        shape = (u, u, u)
-        X = np.zeros(shape, np.int64)
-        Y = np.zeros(shape, np.int64)
-        Z = np.zeros(shape, np.int64)
-        fired = np.zeros(shape, bool)
-        always = np.broadcast_to(np.bool_(True), shape)
-        for var, array in (("x", X), ("y", Y), ("z", Z)):
-            store.attach(var, array, always)
-
-        lattice = plan.lattice
-        counters = SlotCounters()
-        mapping = store._mapping
-        j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]
-        counters.account_site(mapping, (0, 1, 0), int((j2 > 1).sum()))
-        counters.account_site(mapping, (1, 0, 0), int((j1 > 1).sum()))
-        counters.account_site(
-            mapping, (0, 0, 1), len(lattice), int((j3 > 1).sum())
-        )
-        writes = 0
-
-        order, sorted_times = plan.order, plan.sorted_times
-        for start, end in plan.slices:
-            block = lattice[order[start:end]]
-            t = int(sorted_times[start])
-            a, b, c = block[:, 0] - 1, block[:, 1] - 1, block[:, 2] - 1
-            if fired[a, b, c].any():
-                raise AssertionError(
-                    f"double write in slot t={t}: a lattice point fired twice"
-                )
-            fired[a, b, c] = True
-            xv = np.empty(len(block), np.int64)
-            entry = b == 0
-            xv[entry] = self._x[a[entry], c[entry]]
-            xv[~entry] = X[a[~entry], b[~entry] - 1, c[~entry]]
-            yv = np.empty(len(block), np.int64)
-            entry = a == 0
-            yv[entry] = self._y[c[entry], b[entry]]
-            yv[~entry] = Y[a[~entry] - 1, b[~entry], c[~entry]]
-            zv = np.zeros(len(block), np.int64)
-            m = c > 0
-            zv[m] = Z[a[m], b[m], c[m] - 1]
-            X[a, b, c] = xv
-            Y[a, b, c] = yv
-            Z[a, b, c] = zv + self.multiplier.multiply_block(xv, yv)
-            writes += 3 * len(block)
-
-        counters.writes += writes
         return counters

@@ -11,6 +11,10 @@ arithmetic algorithm, so one beat costs ``t_b`` cycles and the total is
 (Section 4.2).  ``t_b`` is ``O(p²)`` for add-shift and ``O(p)`` for
 carry-save -- the choice that decides whether the bit-level design of Fig. 4
 wins by ``O(p²)`` or by ``O(p)``.
+
+The machine is a front end over :class:`~repro.machine.wordmodel.
+WordLevelModelMachine` at matmul's ``h̄`` vectors; it runs through the
+simulator's generic per-point path on every backend.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.arith.sequential import SequentialAddShift, SequentialCarrySave
-from repro.ir.builders import matmul_word_structure
-from repro.machine.simulator import SimulationResult, SpaceTimeSimulator, ValueStore
+from repro.machine.bitlevel import MATMUL_H
+from repro.machine.simulator import SimulationResult
+from repro.machine.wordmodel import WordLevelModelMachine
 from repro.mapping.designs import word_level_mapping
 
 __all__ = ["WordLevelMatmulMachine", "WordMatmulRun"]
@@ -38,7 +42,11 @@ class WordMatmulRun:
 
 
 class WordLevelMatmulMachine:
-    """Run ``Z = X · Y`` on the word-level array with sequential arithmetic."""
+    """Run ``Z = X · Y`` on the word-level array with sequential arithmetic.
+
+    A front end over :class:`~repro.machine.wordmodel.WordLevelModelMachine`
+    at matmul's ``h̄`` vectors under ``T_w``.
+    """
 
     def __init__(
         self,
@@ -51,14 +59,13 @@ class WordLevelMatmulMachine:
         self.p = int(p)
         self.arithmetic = arithmetic
         self.backend = backend
-        if arithmetic == "add-shift":
-            self.multiplier = SequentialAddShift(p)
-        elif arithmetic == "carry-save":
-            self.multiplier = SequentialCarrySave(p)
-        else:
-            raise ValueError(f"unknown arithmetic {arithmetic!r}")
-        self.mapping = word_level_mapping()
-        self.algorithm = matmul_word_structure(u)
+        self.model = WordLevelModelMachine(
+            *MATMUL_H, (1, 1, 1), (u, u, u), p, word_level_mapping(),
+            arithmetic, backend,
+        )
+        self.multiplier = self.model.multiplier
+        self.mapping = self.model.mapping
+        self.algorithm = self.model.algorithm
 
     def run(
         self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
@@ -66,46 +73,20 @@ class WordLevelMatmulMachine:
         """Execute; products are computed by the sequential multiplier (so a
         multiplier bug would corrupt the result, not just the timing)."""
         u = self.u
-        binding = {"u": u}
-
-        def compute(q: tuple[int, ...], store: ValueStore) -> None:
-            j1, j2, j3 = q
-            if j2 == 1:
-                xv = x[j1 - 1][j3 - 1]
-            else:
-                xv = store.get("x", (j1, j2 - 1, j3))
-            store.put("x", q, xv)
-            if j1 == 1:
-                yv = y[j3 - 1][j2 - 1]
-            else:
-                yv = store.get("y", (j1 - 1, j2, j3))
-            store.put("y", q, yv)
-            acc = store.get("z", (j1, j2, j3 - 1), 0)
-            store.put("z", q, acc + self.multiplier.multiply(xv, yv))
-
-        sim = SpaceTimeSimulator(
-            self.mapping, self.algorithm, binding, backend=self.backend
+        sim, result = self.model.simulate(
+            lambda j: x[j[0] - 1][j[2] - 1],  # x(j̄) = X[j1, j3]
+            lambda j: y[j[2] - 1][j[1] - 1],  # y(j̄) = Y[j3, j2]
+            lambda j: 0,
         )
-        kernel = None
-        if sim.backend == "wavefront":
-            from repro.machine import wavefront
-
-            # Accumulated z words (< u * 2^{2p}) must fit int64 lanes.
-            if 2 * self.p + u.bit_length() <= 62:
-                kernel = wavefront.WordMatmulSlotKernel(
-                    u, self.multiplier, x, y
-                )
-        result = sim.run(compute, kernel=kernel)
         product = [
             [sim.store.get("z", (j1, j2, u)) for j2 in range(1, u + 1)]
             for j1 in range(1, u + 1)
         ]
-        word_beats = result.makespan
         t_b = self.multiplier.cycles
         return WordMatmulRun(
             product=product,
             sim=result,
-            word_beats=word_beats,
+            word_beats=result.makespan,
             cycles_per_beat=t_b,
-            total_cycles=word_beats * t_b,
+            total_cycles=result.makespan * t_b,
         )

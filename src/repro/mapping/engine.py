@@ -75,9 +75,6 @@ class SearchConfig:
     max_candidates:
         Return at most this many designs, best first (``None`` =
         exhaustive).
-    require_busy:
-        Enforce condition 5 (coprime entries of ``T``) as a pre-screen
-        before the full feasibility check.
     overcollect:
         Early-stop factor: the scan stops after collecting
         ``max_candidates * overcollect`` feasible designs, *before* the
@@ -119,7 +116,6 @@ class SearchConfig:
     block_values: tuple[int, ...] = ()
     schedule_bound: int = 2
     max_candidates: int | None = 10
-    require_busy: bool = True
     overcollect: int | None = 4
     persist_cache: bool | None = None
     strategy: str = "auto"
@@ -311,7 +307,6 @@ class _EvalContext:
     binding: ParamBinding
     primitives: Sequence[Sequence[int]] | None
     schedules: list[tuple[int, tuple[int, ...]]]
-    require_busy: bool
     cache: EvalCache
     strategy: str = "catalog"
     solver_ctx: object | None = None
@@ -323,7 +318,7 @@ class _EvalContext:
 
             self.solver_ctx = SolverContext(
                 self.algorithm, self.binding, self.primitives,
-                self.schedules, self.require_busy, self.cache,
+                self.schedules, self.cache,
             )
         return self.solver_ctx
 
@@ -350,7 +345,7 @@ def _evaluate_space(
     with obs.span("mapping.evaluate_space"):
         for _, pi in ctx.schedules:
             mapping = MappingMatrix(space + [list(pi)])
-            if ctx.require_busy and not mapping.entries_coprime():
+            if not mapping.entries_coprime():
                 obs.count("mapping.pruned.coprime_precheck")
                 continue
             report = check_feasibility(
@@ -447,7 +442,6 @@ def run_search(
             binding=binding,
             primitives=primitives,
             schedules=schedules,
-            require_busy=config.require_busy,
             cache=EvalCache(),
             strategy=strategy,
         )

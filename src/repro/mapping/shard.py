@@ -4,7 +4,7 @@ Scaling the search past one process (and, later, one machine) needs three
 things the in-process engine does not provide: a *durable* unit of work
 that any worker can pick up, a *claim* protocol so two workers do not
 fight over a unit, and a *merge* that is independent of who computed
-what.  This module supplies all three on top of the existing shared-mode
+what.  This module supplies all three on top of the existing
 :class:`~repro.cache.store.ArtifactCache` and
 :class:`~repro.cache.lock.FileLock` -- no new infrastructure, just files
 in a directory any number of processes (or NFS-mounted machines) share:
@@ -21,7 +21,7 @@ in a directory any number of processes (or NFS-mounted machines) share:
 * **Results.**  Each finished block is published as one artifact-cache
   entry keyed by :func:`~repro.cache.keys.shard_run_key` + block id:
   the feasible designs in scan order, the block's partial Pareto
-  frontier, its obs counter delta, and its :class:`EvalCache` delta.
+  frontier and its obs counter delta.
   Every block is evaluated from a *fresh* cache, so its payload is a
   pure function of the block -- the property that makes merged metrics
   byte-identical for any worker count and claim interleaving.  When the
@@ -32,10 +32,8 @@ in a directory any number of processes (or NFS-mounted machines) share:
   frontier-merge exactly as :func:`run_search` does), counters sum (and
   are counted into the ambient obs registry, so ``--metrics-out`` reports
   the same ``mapping.*`` counters for every worker count),
-  partial frontiers fold through the associative
-  :func:`~repro.mapping.pareto.merge_frontiers`, and the union of memo
-  deltas is published as the shared ``mapping-memo`` entry for future
-  engine runs against the same cache directory.  Blocks missing after
+  and partial frontiers fold through the associative
+  :func:`~repro.mapping.pareto.merge_frontiers`.  Blocks missing after
   the pool drains (a crashed worker) are evaluated inline by the
   coordinator, so the merge always completes.
 
@@ -59,7 +57,6 @@ from repro.mapping.engine import (
     SearchConfig,
     _EvalContext,
     _evaluate_space,
-    _save_memo,
     _space_candidates,
     ranked_schedules,
 )
@@ -141,8 +138,7 @@ def _plan(
         from repro.mapping.solver import SolverContext, enumerate_spaces
 
         sctx = SolverContext(
-            algorithm, binding, primitives, schedules,
-            config.require_busy, EvalCache(),
+            algorithm, binding, primitives, schedules, EvalCache()
         )
         spaces = enumerate_spaces(
             sctx, config.target_space_dim, config.block_values
@@ -246,7 +242,6 @@ def _eval_block(
         binding=binding,
         primitives=primitives,
         schedules=schedules,
-        require_busy=config.require_busy,
         cache=EvalCache(),
         strategy=config.resolved_strategy,
     )
@@ -287,7 +282,6 @@ def _eval_block(
             name: int(value)
             for name, value in sorted(delta["counters"].items())
         },
-        "memo": _encode_memo(ctx.cache),
     }
     if trace:
         payload["trace"] = {"pid": delta["pid"], "spans": delta["spans"]}
@@ -302,18 +296,6 @@ def _frontier_points(designs: list[dict], metrics: tuple[str, ...]):
         )
         for d in designs
     ]
-
-
-def _encode_memo(cache: EvalCache) -> list:
-    from repro.cache import Unserializable, encode_obj
-
-    out = []
-    for key, value in cache.data.items():
-        try:
-            out.append([encode_obj(key), encode_obj(value)])
-        except Unserializable:
-            continue
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +314,7 @@ def _drain(shard_dir, worker_id, plan, algorithm, binding, primitives,
 
     schedules, time_of, spaces, blocks, run_key = plan
     d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-    store = ArtifactCache(shard_dir, shared=True)
+    store = ArtifactCache(shard_dir)
     lock = FileLock(Path(shard_dir) / "claims.lock")
     previous = obs.set_registry(None)
     done = 0
@@ -441,7 +423,7 @@ def run_sharded_search(
                     ))
             obs.count("mapping.shard.claims", claims)
             merged = _merge(
-                ArtifactCache(shard_dir, shared=True), plan, algorithm,
+                ArtifactCache(shard_dir), plan, algorithm,
                 binding, primitives, config, workers,
             )
         return merged
@@ -453,15 +435,12 @@ def run_sharded_search(
 def _merge(store, plan, algorithm, binding, primitives, config,
            workers) -> ShardedSearchResult:
     """Fold block payloads in block-index order (see module docstring)."""
-    from repro.cache import Unserializable, decode_obj
-
     schedules, time_of, spaces, blocks, run_key = plan
     d_cols = [tuple(c) for c in algorithm.dependences.columns()]
     reg = obs.get_registry()
     designs: list[dict] = []
     metrics: dict[str, int] = {}
     partial_frontiers: list[list[FrontierPoint]] = []
-    memo = EvalCache()
     for block_id, (start, end) in enumerate(blocks):
         payload = store.get(_KIND, _block_key(run_key, block_id))
         if payload is None:
@@ -492,12 +471,6 @@ def _merge(store, plan, algorithm, binding, primitives, config,
                     for pt in payload["frontier"]
                 ]
             )
-        for entry in payload.get("memo", ()):
-            try:
-                key, value = entry
-                memo.data.setdefault(decode_obj(key), decode_obj(value))
-            except (Unserializable, TypeError, ValueError):
-                continue
     if config.stop_after is not None:
         designs = designs[:config.stop_after]
     frontier = None
@@ -512,8 +485,6 @@ def _merge(store, plan, algorithm, binding, primitives, config,
         designs = designs[:config.max_candidates]
         if frontier is not None:
             frontier = frontier[:config.max_candidates]
-    if memo.data:
-        _save_memo(store, memo)
     obs.count("mapping.shard.designs", len(designs))
     return ShardedSearchResult(
         designs=designs,

@@ -116,14 +116,12 @@ class SolverContext:
         binding: ParamBinding,
         primitives: Sequence[Sequence[int]] | None,
         schedules: list[tuple[int, tuple[int, ...]]],
-        require_busy: bool,
         cache: EvalCache,
     ) -> None:
         self.algorithm = algorithm
         self.binding = binding
         self.primitives = primitives
         self.schedules = schedules
-        self.require_busy = require_busy
         self.cache = cache
         self.n = algorithm.dim
         self.d_cols = [tuple(c) for c in algorithm.dependences.columns()]
@@ -372,7 +370,7 @@ def evaluate_space_solver(
                 continue
             rows = space + [list(pi)]
             mapping = MappingMatrix(rows)
-            if ctx.require_busy and not mapping.entries_coprime():
+            if not mapping.entries_coprime():
                 obs.count("mapping.pruned.coprime_precheck")
                 continue
             if integer_rank(rows) < len(rows):

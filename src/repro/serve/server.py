@@ -6,7 +6,7 @@ coalescing, and streaming; the jobs themselves run on worker
 threads (the engines are CPU-bound sync code), one execution at a time,
 so the per-job obs registry install is race-free.  Scale-out is by
 process: any number of servers and CLI runs may share one
-``$REPRO_CACHE_DIR`` thanks to the store's shared mode
+``$REPRO_CACHE_DIR`` thanks to the store's cross-process locking
 (:mod:`repro.cache.store`).
 
 Endpoints (all JSON; ``Connection: close`` per request):

@@ -13,6 +13,22 @@ def rng() -> random.Random:
     return random.Random(0xBEEF)
 
 
+@pytest.fixture
+def corrupt_product(monkeypatch):
+    """Make every bit-level matmul run return a product with one bit
+    flipped, as a machine fault would."""
+    from repro.machine.bitlevel import BitLevelMatmulMachine
+
+    run = BitLevelMatmulMachine.run
+
+    def corrupted(self, x, y):
+        out = run(self, x, y)
+        out.product[0][0] ^= 1
+        return out
+
+    monkeypatch.setattr(BitLevelMatmulMachine, "run", corrupted)
+
+
 def random_matrix(rng: random.Random, u: int, p: int) -> list[list[int]]:
     """A ``u x u`` matrix of ``p``-bit nonnegative integers."""
     return [[rng.randrange(1 << p) for _ in range(u)] for _ in range(u)]

@@ -65,6 +65,11 @@ class TestTopLevelCli:
         out = capsys.readouterr().out
         assert "product correct" in out and "True" in out
 
+    def test_simulate_wrong_product_exits_1(self, corrupt_product, capsys):
+        assert main(["simulate", "--u", "2", "--p", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "product correct (mod 2^3): False" in out
+
     def test_simulate_fig5_with_gantt(self, capsys):
         assert main(
             ["simulate", "--u", "2", "--p", "2", "--design", "fig5", "--gantt"]

@@ -139,6 +139,13 @@ class TestDispatchParity:
         assert result.data["correct"] is True
         assert result.data["makespan"] > 0
 
+    def test_simulate_wrong_product_exits_1(self, corrupt_product):
+        result = run_job(JobSpec(kind="simulate", u=2, p=2))
+        assert result.status == "ok"
+        assert result.exit_code == 1
+        assert result.data["correct"] is False
+        assert "product correct (mod 2^3): False" in result.output
+
     def test_handler_exception_is_structured(self, monkeypatch):
         import repro.mapping.designs as designs_mod
 

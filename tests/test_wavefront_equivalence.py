@@ -34,10 +34,10 @@ from repro import obs
 from repro.arith.baughwooley import BaughWooleyMultiplier
 from repro.arith.registry import list_structures
 from repro.__main__ import build_parser
-from repro.machine import bitlevel as bitlevel_mod
+from repro.machine import model as model_mod
 from repro.machine import plan as plan_mod
 from repro.machine import wavefront as wavefront_mod
-from repro.machine import wordlevel as wordlevel_mod
+from repro.machine import wordmodel as wordmodel_mod
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.model import BitLevelModelMachine
 from repro.machine.plan import clear_plan_memo, plan_for
@@ -69,8 +69,9 @@ def default_env(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Capture plumbing: the machines build their simulator internally, so the
-# store snapshots are grabbed by substituting a recording subclass.
+# Capture plumbing: the machines build their simulator internally (the
+# matmul machines through the model machines they front), so the store
+# snapshots are grabbed by substituting a recording subclass.
 # ---------------------------------------------------------------------------
 
 class _CaptureSimulator(SpaceTimeSimulator):
@@ -85,8 +86,8 @@ class _CaptureSimulator(SpaceTimeSimulator):
 def capture(monkeypatch):
     """Patch the machine modules to record every simulator they build."""
     _CaptureSimulator.instances = []
-    monkeypatch.setattr(bitlevel_mod, "SpaceTimeSimulator", _CaptureSimulator)
-    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", _CaptureSimulator)
+    monkeypatch.setattr(model_mod, "SpaceTimeSimulator", _CaptureSimulator)
+    monkeypatch.setattr(wordmodel_mod, "SpaceTimeSimulator", _CaptureSimulator)
     return _CaptureSimulator.instances
 
 
@@ -177,6 +178,36 @@ def test_bitlevel_rectangular_sizes(size, capture, rng):
     _assert_runs_match(runs, f"bitlevel u={u} p={p}")
 
 
+@pytest.mark.parametrize("expansion", ["I", "II"])
+@pytest.mark.parametrize("p", [33, 36])
+def test_kernel_cap_is_load_bearing(p, expansion, monkeypatch):
+    """Mutation check of ``MATMUL_KERNEL_MAX_P``.
+
+    Unpatched, wide words fall back to the generic path (one
+    ``machine.kernel_fallback``) and the product is exact.  With the cap
+    raised to 62 the int64 kernel takes them and the product must come
+    out wrong: all-ones operands set the bits of weight 63 and 64, which
+    int64 lanes cannot hold.
+    """
+    u = 2
+    ones = [[(1 << p) - 1] * u for _ in range(u)]
+    want = reference_matmul(ones, ones, (1 << (2 * p - 1)) - 1)
+
+    def run_once():
+        machine = BitLevelMatmulMachine(
+            u, p, designs.fig4_mapping(p), expansion, backend="wavefront"
+        )
+        return _observed(lambda: machine.run(ones, ones))
+
+    out, metrics = run_once()
+    assert out.product == want
+    assert metrics["counters"]["machine.kernel_fallback"] == 1
+    monkeypatch.setattr(wavefront_mod, "MATMUL_KERNEL_MAX_P", 62)
+    out, metrics = run_once()
+    assert "machine.kernel_fallback" not in metrics["counters"]
+    assert out.product != want
+
+
 class _NoKernelSimulator(SpaceTimeSimulator):
     """Drops the machine's slot kernel, forcing the generic path."""
 
@@ -196,42 +227,12 @@ def test_bitlevel_kernel_and_shim_agree(monkeypatch, rng):
         return _observed(lambda: machine.run(x, y))
 
     out_kernel, m_kernel = run_once()
-    monkeypatch.setattr(bitlevel_mod, "SpaceTimeSimulator", _NoKernelSimulator)
+    monkeypatch.setattr(model_mod, "SpaceTimeSimulator", _NoKernelSimulator)
     out_shim, m_shim = run_once()
     assert out_kernel.product == out_shim.product
     assert out_kernel.sim == out_shim.sim
     assert m_kernel["counters"] == m_shim["counters"]
     assert m_kernel["gauges"] == m_shim["gauges"]
-
-
-def test_wordlevel_kernel_and_generic_path_agree(monkeypatch, rng):
-    """The word-level slot kernel, dropped, gives the same run through the
-    generic per-point path."""
-    u, p = 4, 3
-    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-    kernels = []
-
-    class _RecordingSimulator(SpaceTimeSimulator):
-        def run(self, compute, kernel=None):
-            kernels.append(kernel)
-            return super().run(compute, kernel)
-
-    def run_once():
-        machine = WordLevelMatmulMachine(
-            u, p, "carry-save", backend="wavefront"
-        )
-        return _observed(lambda: machine.run(x, y))
-
-    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", _RecordingSimulator)
-    out_kernel, m_kernel = run_once()
-    assert isinstance(kernels[-1], wavefront_mod.WordMatmulSlotKernel)
-    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", _NoKernelSimulator)
-    out_generic, m_generic = run_once()
-    assert out_kernel.product == out_generic.product == reference_matmul(x, y)
-    assert out_kernel.total_cycles == out_generic.total_cycles
-    assert out_kernel.sim == out_generic.sim
-    assert m_kernel["counters"] == m_generic["counters"]
-    assert m_kernel["gauges"] == m_generic["gauges"]
 
 
 # ---------------------------------------------------------------------------
