@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "--kind", default=None, metavar="KIND",
         help="with 'clear': remove only entries of this kind "
-        "(analysis, symbolic, mapping-memo or search-shard)",
+        "(analysis, symbolic or search-shard)",
     )
     _obs_options(p_cache, top_level=False)
     p_cache.set_defaults(fn=_cmd_cache)

@@ -2,7 +2,7 @@
 
 Content-addressed, on-disk memoization for the expensive pure derivations
 of the pipeline: dependence-analysis results, symbolic analyses, and
-the design-space search's conflict/interconnect solves.  Keys are SHA-256
+the finished blocks of a sharded design-space search.  Keys are SHA-256
 fingerprints of canonicalized inputs (:mod:`repro.cache.keys` -- including
 HNF normalization of per-pair subscript systems), values are exact JSON
 serializations (:mod:`repro.cache.serde`), and the store

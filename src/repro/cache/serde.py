@@ -5,9 +5,8 @@ round-trip here is *exact*: the decoded object equals (and hashes equal
 to) what the miss path would have built.  Three families are covered:
 
 * a generic tagged codec (:func:`encode_obj` / :func:`decode_obj`) that
-  preserves the ``tuple``/``list`` distinction -- used to persist the
-  design-space search's :class:`~repro.mapping.memo.EvalCache` tables,
-  whose keys are nested tuples;
+  preserves the ``tuple``/``list`` distinction, for nested-tuple keys
+  and values;
 * the dependence-analysis result types
   (:class:`~repro.depanalysis.pairs.AnalysisResult` with its
   :class:`~repro.depanalysis.pairs.DependenceInstance` tuple and stats);
@@ -55,7 +54,7 @@ class Unserializable(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# Generic tagged codec (EvalCache keys and values)
+# Generic tagged codec (nested tuples, lists and dicts)
 # ---------------------------------------------------------------------------
 
 def encode_obj(value):

@@ -92,8 +92,12 @@ class BitLevelMatmulMachine:
             *MATMUL_H, (1, 1, 1), (u, u, u), p, mapping, expansion, backend
         )
         self.expansion = self.model.expansion
-        self.algorithm = self.model.algorithm
         self.binding = self.model.binding
+
+    @property
+    def algorithm(self):
+        """The model machine's Theorem 3.1 structure (built on first read)."""
+        return self.model.algorithm
 
     def run(self, x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> MatmulRun:
         """Execute and return the product matrix (mod ``2^{2p-1}``)."""

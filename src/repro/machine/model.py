@@ -26,6 +26,7 @@ Its per-point compressor cell is the package's only bit-level compute:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from repro.arith.bitops import to_bits
@@ -33,6 +34,7 @@ from repro.expansion.expansions import Expansion, get_expansion
 from repro.expansion.theorem31 import bit_level_from_vectors
 from repro.machine.simulator import SimulationResult, SpaceTimeSimulator, ValueStore
 from repro.mapping.transform import MappingMatrix
+from repro.structures.algorithm import Algorithm
 from repro.structures.indexset import IndexSet
 
 __all__ = ["BitLevelModelMachine", "ModelRun"]
@@ -89,12 +91,23 @@ class BitLevelModelMachine:
         self.p = int(p)
         self.mapping = mapping
         self.expansion = get_expansion(expansion)
-        self.algorithm = bit_level_from_vectors(
-            h1, h2, h3, lowers, uppers, p, self.expansion.key
-        )
         self.word_set = IndexSet(list(lowers), list(uppers))
         self._bounds = self.word_set.bounds({})
         self.binding: dict[str, int] = {}
+        #: The bit-level index set ``J_w x {1 <= i1, i2 <= p}`` of Theorem
+        #: 3.1 -- all a run reads of the structure.
+        self.index_set = self.word_set.product(
+            IndexSet([1, 1], [self.p, self.p], ("i1", "i2"))
+        )
+
+    @cached_property
+    def algorithm(self) -> Algorithm:
+        """The full Theorem 3.1 structure, built on first read."""
+        w = self.word_set
+        return bit_level_from_vectors(
+            self.h1, self.h2, self.h3, w.lowers, w.uppers, self.p,
+            self.expansion.key,
+        )
 
     # -- operand validation ----------------------------------------------------
     def _check_pipelining(
@@ -190,8 +203,10 @@ class BitLevelModelMachine:
         :meth:`SpaceTimeSimulator.run`).  The final ``s`` bits stay in
         ``sim.store`` for :meth:`read_word`.
         """
+        # The simulator fires the index set and reads no dependences.
         sim = SpaceTimeSimulator(
-            self.mapping, self.algorithm, self.binding, backend=self.backend
+            self.mapping, Algorithm(self.index_set, ()), self.binding,
+            backend=self.backend,
         )
         compute = self._compute(x_entry, y_entry, z_entry, state)
         return sim, sim.run(compute, kernel=kernel)

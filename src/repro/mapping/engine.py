@@ -103,13 +103,6 @@ class SearchConfig:
         ``overcollect``); ``max_candidates`` still truncates the
         returned list -- pass ``max_candidates=None`` for the whole
         frontier.
-    persist_cache:
-        Persist the run-scoped :class:`~repro.mapping.memo.EvalCache`
-        across runs through the artifact store (:mod:`repro.cache`): the
-        shared memo entry is loaded before the scan and the merged table
-        saved after it.  ``None`` (default) enables persistence iff
-        ``$REPRO_CACHE_DIR`` is set; memo keys are canonical values, so
-        entries are valid across any search configuration.
     """
 
     target_space_dim: int = 2
@@ -117,7 +110,6 @@ class SearchConfig:
     schedule_bound: int = 2
     max_candidates: int | None = 10
     overcollect: int | None = 4
-    persist_cache: bool | None = None
     strategy: str = "auto"
     frontier: tuple[str, ...] | None = None
 
@@ -358,46 +350,6 @@ def _evaluate_space(
 
 
 # ---------------------------------------------------------------------------
-# Cross-run memo persistence
-# ---------------------------------------------------------------------------
-
-_MEMO_KIND = "mapping-memo"
-_MEMO_KEY = "shared"
-
-
-def _load_memo(store, cache: EvalCache) -> None:
-    """Seed ``cache`` from the shared persisted memo entry (best-effort)."""
-    from repro.cache import Unserializable, decode_obj
-
-    payload = store.get(_MEMO_KIND, _MEMO_KEY)
-    if not isinstance(payload, list):
-        return
-    loaded = 0
-    for entry in payload:
-        try:
-            key, value = entry
-            cache.data[decode_obj(key)] = decode_obj(value)
-            loaded += 1
-        except (Unserializable, TypeError, ValueError):
-            continue
-    obs.count("mapping.memo_loaded", loaded)
-
-
-def _save_memo(store, cache: EvalCache) -> None:
-    """Persist ``cache`` (already merged with the loaded entries)."""
-    from repro.cache import Unserializable, encode_obj
-
-    payload = []
-    for key, value in cache.data.items():
-        try:
-            payload.append([encode_obj(key), encode_obj(value)])
-        except Unserializable:
-            continue
-    store.put(_MEMO_KIND, _MEMO_KEY, payload)
-    obs.count("mapping.memo_saved", len(payload))
-
-
-# ---------------------------------------------------------------------------
 # The engine entry point and the public API
 # ---------------------------------------------------------------------------
 
@@ -445,13 +397,6 @@ def run_search(
             cache=EvalCache(),
             strategy=strategy,
         )
-        store = None
-        if config.persist_cache is not False:
-            from repro.cache import resolve_cache
-
-            store = resolve_cache(config.persist_cache, None)
-            if store is not None:
-                _load_memo(store, ctx.cache)
         if strategy == "solver":
             from repro.mapping.solver import enumerate_spaces
 
@@ -494,8 +439,6 @@ def run_search(
                 )
         found = _rank(found, config)
         obs.count("mapping.designs_found", len(found))
-        if store is not None and ctx.cache.misses:
-            _save_memo(store, ctx.cache)
     return found
 
 

@@ -26,6 +26,7 @@ from repro.util.linalg import mat_mul, mat_vec
 __all__ = [
     "mesh_primitives",
     "with_long_wires",
+    "min_hop_column",
     "solve_interconnect",
     "InterconnectSolution",
 ]
@@ -89,10 +90,13 @@ def _column_combinations(
 ) -> list[int] | None:
     """Find nonnegative ``k̄`` with ``P k̄ = target`` and ``Σ k̄ <= budget``.
 
-    Depth-first search over primitive multiplicities, preferring solutions
-    with the fewest hops (the search explores counts in increasing order and
-    returns the first complete assignment found at the smallest total).
+    Depth-first search over primitive multiplicities in lexicographic
+    order, keeping the first assignment of the smallest total: the
+    lexicographically first minimum-hop ``k̄`` if the minimum is at most
+    ``budget``, else ``None`` (the hop-count lemma of :func:`min_hop_column`).
     """
+    if budget < 0:
+        return None
     rows = len(p_matrix)
     r = len(p_matrix[0]) if rows else 0
     cols = [[p_matrix[i][j] for i in range(rows)] for j in range(r)]
@@ -120,6 +124,31 @@ def _column_combinations(
     return best
 
 
+def min_hop_column(
+    p_matrix: Sequence[Sequence[int]],
+    target: Sequence[int],
+    budget: int,
+    cache=None,
+) -> list[int] | None:
+    """``_column_combinations(p_matrix, target, budget)``, memoized.
+
+    Hop-count lemma: that answer is the same for every budget that reaches
+    the minimum.  So ``cache`` (an :class:`repro.mapping.memo.EvalCache`)
+    keeps one ``(budget searched, k̄)`` entry per ``(P, target)``; only a
+    miss at a smaller budget than asked searches again.
+    """
+    if cache is None:
+        return _column_combinations(p_matrix, target, budget)
+    key = ("icol", tuple(map(tuple, p_matrix)), tuple(target))
+    searched, k_col = cache.get_or_compute(
+        key, lambda: (budget, _column_combinations(p_matrix, target, budget))
+    )
+    if k_col is None and searched < budget:
+        k_col = _column_combinations(p_matrix, target, budget)
+        cache.data[key] = (budget, k_col)
+    return None if k_col is None or sum(k_col) > budget else k_col
+
+
 def solve_interconnect(
     s_matrix: Sequence[Sequence[int]],
     d_matrix: Sequence[Sequence[int]],
@@ -134,20 +163,14 @@ def solve_interconnect(
     with the given primitives within its schedule slack.
 
     ``cache`` (an :class:`repro.mapping.memo.EvalCache`) memoizes the
-    per-column subproblem ``P k̄ = S d̄_i`` with ``Σ k̄ <= Π d̄_i`` on the
-    canonical key ``(P, S d̄_i, Π d̄_i)`` -- across the candidate mappings of
-    a design-space search the same displacement/deadline pairs recur for
-    every schedule sharing a space row, so most columns are answered
-    without re-running the depth-first search.
+    per-column subproblem ``P k̄ = S d̄_i`` on ``(P, S d̄_i)`` through
+    :func:`min_hop_column` -- one entry answers every deadline ``Π d̄_i``,
+    so across the candidate mappings of a design-space search most
+    columns are answered without re-running the depth-first search.
     """
     m = len(d_matrix[0]) if d_matrix else 0
     n = len(d_matrix)
     r = len(p_matrix[0]) if p_matrix else 0
-    p_key = (
-        tuple(tuple(int(x) for x in row) for row in p_matrix)
-        if cache is not None
-        else None
-    )
     k_cols: list[list[int]] = []
     hops: list[int] = []
     deadlines: list[int] = []
@@ -155,14 +178,7 @@ def solve_interconnect(
         d_col = [d_matrix[row][i] for row in range(n)]
         target = mat_vec(list(s_matrix), d_col)
         deadline = sum(schedule[row] * d_col[row] for row in range(n))
-        if cache is None:
-            k_col = _column_combinations(p_matrix, target, deadline)
-        else:
-            key = ("icol", p_key, tuple(target), deadline)
-            k_col = cache.get_or_compute(
-                key,
-                lambda: _column_combinations(p_matrix, target, deadline),
-            )
+        k_col = min_hop_column(p_matrix, target, deadline, cache)
         if k_col is None:
             return None
         k_cols.append(k_col)

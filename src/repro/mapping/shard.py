@@ -167,7 +167,6 @@ def _run_key(algorithm, binding, primitives, config, blocks) -> str:
     cfg["frontier"] = (
         None if cfg["frontier"] is None else list(cfg["frontier"])
     )
-    cfg.pop("persist_cache", None)
     return shard_run_key(
         algorithm.name,
         [list(c) for c in algorithm.dependences.columns()],

@@ -29,6 +29,11 @@ Constraint derivation (see docs/SEARCH.md for the full write-up):
   entire subtree.  The lattice test depends only on ``S`` (not ``Π``)
   and prunes every schedule of a space at once.
 
+  For a full space map the condition is exact and costs one mask: by
+  the *hop-count lemma* (:func:`~repro.mapping.interconnect.
+  min_hop_column`) one minimum-hop search per ``(P, S d̄_i)`` decides
+  ``h_i <= Π d̄_i`` for every schedule.
+
 * **Condition 3** (``τ`` injective) fails whenever a nonzero integer
   nullspace vector of ``T`` fits the index-difference box -- in
   particular when a *basis* vector of the nullspace lattice
@@ -38,7 +43,10 @@ Constraint derivation (see docs/SEARCH.md for the full write-up):
   the screen).
 
 * **Condition 4** (``rank T = k``) is monotone under row extension, so
-  rank-deficient prefixes are cut at the branch point.
+  rank-deficient prefixes are cut at the branch point.  A surviving
+  space has ``rank S = k - 1``, so ``rank [S; Π] = k`` iff ``Π`` is not
+  orthogonal to the integer nullspace of ``S``: one Smith form per space,
+  then dot products per schedule.  No rational number is ever formed.
 
 Every cut is *sound*: it only removes candidates that
 :func:`check_feasibility` would reject, and enumeration follows the exact
@@ -53,12 +61,13 @@ pin.  Per-cut prune counts are published as ``mapping.solver.pruned.*``.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from repro import obs
 from repro.mapping.engine import space_map_catalog
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
-from repro.mapping.interconnect import solve_interconnect
+from repro.mapping.interconnect import min_hop_column
 from repro.mapping.memo import EvalCache
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
@@ -125,9 +134,6 @@ class SolverContext:
         self.cache = cache
         self.n = algorithm.dim
         self.d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-        self.d_matrix = [
-            [col[row] for col in self.d_cols] for row in range(self.n)
-        ]
         #: Per-schedule deadlines ``Π d̄_i``, aligned with ``schedules``.
         self.deadlines = [
             tuple(
@@ -137,6 +143,13 @@ class SolverContext:
             for _, pi in schedules
         ]
         self.all_mask = (1 << len(schedules)) - 1
+        #: Per-schedule gcd of ``Π`` (condition 5 is one more ``gcd``).
+        self.schedule_gcd = [_vector_gcd(pi) for _, pi in schedules]
+        #: Largest hop budget of any column: the minimum-hop search bound.
+        self.hop_bound = max(
+            (_hop_budget(d) for row in self.deadlines for d in row),
+            default=0,
+        )
         if primitives is not None:
             self.p_rows = [tuple(int(x) for x in row) for row in primitives]
             #: Per array axis: gcd and max |entry| of the primitive row.
@@ -146,12 +159,10 @@ class SolverContext:
             self.row_max = [
                 max((abs(x) for x in row), default=0) for row in self.p_rows
             ]
-            self.p_key = tuple(self.p_rows)
         else:
             self.p_rows = None
             self.row_gcd = []
             self.row_max = []
-            self.p_key = None
         #: Conflict screen: a nullspace basis vector of ``T`` inside the
         #: index-difference box is a certain conflict -- valid only for
         #: plain box index sets (constrained sets use pair enumeration).
@@ -162,6 +173,8 @@ class SolverContext:
             self.diff_box = tuple((lo - hi, hi - lo) for lo, hi in bounds)
         self._disp_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._mask_memo: dict[tuple[tuple[int, ...], int], int] = {}
+        self._budget_memo: dict[tuple[int, ...], int] = {}
+        self._lattice: dict[tuple[int, ...], bool] = {}
 
     # -- per-row tables -------------------------------------------------------
 
@@ -188,66 +201,78 @@ class SolverContext:
             return self.all_mask
         key = (row, axis)
         mask = self._mask_memo.get(key)
-        if mask is not None:
-            return mask
-        disps = self.displacements(row)
-        g = self.row_gcd[axis]
-        m_r = self.row_max[axis]
-        # Schedule-independent subgroup test first: a violation kills the
-        # row at this axis for every schedule.
-        feasible_cols = True
-        min_hops = []
-        for disp in disps:
-            if disp == 0:
-                min_hops.append(0)
-                continue
-            if g == 0 or disp % g != 0 or m_r == 0:
-                feasible_cols = False
-                break
-            min_hops.append(-(-abs(disp) // m_r))
-        if not feasible_cols:
-            mask = 0
-        else:
+        if mask is None:
+            g, m_r = self.row_gcd[axis], self.row_max[axis]
+            disps = self.displacements(row)
+            # The subgroup test is schedule-independent: a violation kills
+            # the row at this axis for every schedule.
+            if all(d == 0 or (g and m_r and d % g == 0) for d in disps):
+                mask = self._budget_mask(
+                    tuple(-(-abs(d) // m_r) if d else 0 for d in disps)
+                )
+            else:
+                mask = 0
+            self._mask_memo[key] = mask
+        return mask
+
+    def _budget_mask(self, hops: tuple[int, ...]) -> int:
+        """Bitmask of schedules whose hop budgets cover ``hops`` per column."""
+        mask = self._budget_memo.get(hops)
+        if mask is None:
             mask = 0
             for idx, deadlines in enumerate(self.deadlines):
-                budget_ok = all(
-                    lb <= _hop_budget(deadline)
-                    for lb, deadline in zip(min_hops, deadlines)
-                )
-                if budget_ok:
+                if all(h <= _hop_budget(d) for h, d in zip(hops, deadlines)):
                     mask |= 1 << idx
-        self._mask_memo[key] = mask
+            self._budget_memo[hops] = mask
         return mask
 
     # -- per-space cuts -------------------------------------------------------
+
+    def space_displacements(self, space: Sequence[Sequence[int]]) -> list:
+        """The displacements ``S d̄_i``, one tuple per dependence column."""
+        return list(zip(*(self.displacements(tuple(row)) for row in space)))
 
     def lattice_feasible(self, space: Sequence[Sequence[int]]) -> bool:
         """Exact (sign-free) condition-2 relaxation for a full space map.
 
         ``S d̄_i = P k̄`` needs an *integer* solution before it can have a
         nonnegative one; decided by the Smith-form solver and memoized on
-        the displacement vector in the run's :class:`EvalCache` (the same
-        store the interconnect and conflict solves share), so equivalent
-        queries persist across runs and shards.
+        the displacement vector for the run.
         """
         if self.p_rows is None:
             return True
-        for col in self.d_cols:
-            target = tuple(
-                sum(row[r] * col[r] for r in range(self.n)) for row in space
-            )
-            if any(target):
-                key = ("plattice", self.p_key, target)
-                solvable = self.cache.get_or_compute(
-                    key,
-                    lambda: solve_integer_system(
+        for target in self.space_displacements(space):
+            solvable = self._lattice.get(target)
+            if solvable is None:
+                solvable = self._lattice[target] = not any(target) or (
+                    solve_integer_system(
                         [list(r) for r in self.p_rows], list(target)
                     )
-                    is not None,
+                    is not None
                 )
-                if not solvable:
-                    return False
+            if not solvable:
+                return False
         return True
+
+    def interconnect_mask(self, space: Sequence[Sequence[int]]) -> int:
+        """Bitmask of schedules under which ``S·D = P·K`` is solvable.
+
+        Column ``i`` needs ``h_i`` hops, the minimum of ``Σ k̄`` over
+        ``P k̄ = S d̄_i`` (:func:`~repro.mapping.interconnect.min_hop_column`);
+        schedule ``j`` is admitted iff ``h_i <= _hop_budget(Π_j d̄_i)`` for
+        every ``i`` -- exactly when ``solve_interconnect`` succeeds.
+        """
+        if self.p_rows is None:
+            return self.all_mask
+        hops = []
+        for target in self.space_displacements(space):
+            k_col = min_hop_column(
+                self.p_rows, target, self.hop_bound, self.cache
+            )
+            if k_col is None:
+                return 0
+            hops.append(sum(k_col))
+        return self._budget_mask(tuple(hops))
 
     def conflict_screened(self, rows: list[list[int]]) -> bool:
         """True when a nullspace basis vector certifies a conflict."""
@@ -338,18 +363,17 @@ def evaluate_space_solver(
     shared time-sorted schedule list under the same
     ``mapping.evaluate_space`` span and returns the first feasible ``Π``,
     but discharges the cheap conditions as cuts before the final
-    :func:`check_feasibility` gate:
+    :func:`check_feasibility` gate, each a few integer comparisons:
 
     * ``mapping.solver.pruned.deadline`` -- schedule excluded by the
       precomputed row masks (condition 2 relaxations);
     * ``mapping.pruned.coprime_precheck`` -- same pre-screen and counter
       as the catalog path (condition 5);
-    * ``mapping.solver.pruned.rank`` -- ``Π`` linearly dependent on the
-      space rows (condition 4);
-    * ``mapping.solver.pruned.interconnect`` -- the exact per-column
-      ``P k̄ = S d̄_i`` solve fails (condition 2; memoized on the same
-      ``("icol", ...)`` keys the final gate uses, so survivors re-check
-      for free);
+    * ``mapping.solver.pruned.rank`` -- ``Π`` orthogonal to the nullspace
+      of ``S``, i.e. linearly dependent on the space rows (condition 4);
+    * ``mapping.solver.pruned.interconnect`` -- outside the interconnect
+      mask: some ``P k̄ = S d̄_i`` needs more hops than ``Π d̄_i``
+      (condition 2, exact; the final gate re-reads the same memo);
     * ``mapping.solver.pruned.conflict_screen`` -- a nullspace basis
       vector inside the difference box certifies a conflict (condition 3).
 
@@ -360,40 +384,42 @@ def evaluate_space_solver(
         mask = ctx.all_mask
         for axis, row in enumerate(space):
             mask &= ctx.row_mask(tuple(row), axis)
-        result: tuple[list[int], FeasibilityReport] | None = None
-        skipped = 0
-        for idx, (_, pi) in enumerate(ctx.schedules):
-            if not (mask >> idx) & 1:
-                # Tallied locally, published once below -- a per-schedule
-                # obs call would dominate the walk's cost.
-                skipped += 1
-                continue
-            rows = space + [list(pi)]
-            mapping = MappingMatrix(rows)
-            if not mapping.entries_coprime():
-                obs.count("mapping.pruned.coprime_precheck")
-                continue
-            if integer_rank(rows) < len(rows):
-                obs.count("mapping.solver.pruned.rank")
-                continue
-            if ctx.primitives is not None:
-                interconnect = solve_interconnect(
-                    space, ctx.d_matrix, list(pi), ctx.primitives,
-                    cache=ctx.cache,
+        # Prunes are tallied locally and published once per space -- a
+        # per-schedule obs call would dominate the walk's cost.
+        cut = dict.fromkeys(("rank", "interconnect", "conflict_screen"), 0)
+        coprime, result, stop = 0, None, len(ctx.schedules)
+        if mask:
+            # Per-space facts, computed once: the nullspace of S (condition
+            # 4), its entry gcd (condition 5), the interconnect mask (2).
+            null = integer_nullspace(space)
+            space_gcd = _vector_gcd([x for row in space for x in row])
+            icmask = ctx.interconnect_mask(space)
+        walk = mask
+        while walk:
+            idx = (walk & -walk).bit_length() - 1
+            walk &= walk - 1
+            rows = space + [list(ctx.schedules[idx][1])]
+            if gcd(space_gcd, ctx.schedule_gcd[idx]) != 1:
+                coprime += 1
+            elif not any(sum(map(mul, rows[-1], v)) for v in null):
+                cut["rank"] += 1
+            elif not icmask >> idx & 1:
+                cut["interconnect"] += 1
+            elif ctx.conflict_screened(rows):
+                cut["conflict_screen"] += 1
+            else:
+                report = _final_gate(
+                    MappingMatrix(rows), ctx.algorithm, ctx.binding,
+                    ctx.primitives, ctx.cache,
                 )
-                if interconnect is None:
-                    obs.count("mapping.solver.pruned.interconnect")
-                    continue
-            if ctx.conflict_screened(rows):
-                obs.count("mapping.solver.pruned.conflict_screen")
-                continue
-            report = _final_gate(
-                mapping, ctx.algorithm, ctx.binding, ctx.primitives,
-                ctx.cache,
-            )
-            if report.feasible:
-                result = (list(pi), report)
-                break
-        if skipped:
-            obs.count("mapping.solver.pruned.deadline", skipped)
+                if report.feasible:
+                    result, stop = (rows[-1], report), idx + 1
+                    break
+        # The schedules before ``stop`` that the row masks excluded.
+        cut["deadline"] = stop - bin(mask & ((1 << stop) - 1)).count("1")
+        obs.count_many(
+            {k: v for k, v in cut.items() if v}, prefix="mapping.solver.pruned."
+        )
+        if coprime:
+            obs.count("mapping.pruned.coprime_precheck", coprime)
         return result

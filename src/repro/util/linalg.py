@@ -21,7 +21,6 @@ is exactly what Banerjee-style exact dependence testing consumes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -95,30 +94,30 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def integer_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, computed exactly over the rationals."""
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Each step divides exactly by the previous pivot, as :func:`determinant`
+    does, so every entry stays a minor of ``a`` (no rationals, no blow-up).
+    """
     m, n = _dims(a)
     if m == 0 or n == 0:
         return 0
-    work = [[Fraction(x) for x in row] for row in a]
+    work = _copy(a)
+    prev = 1
     rank = 0
-    row = 0
     for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if work[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        for r in range(row + 1, m):
-            if work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [work[r][j] - f * work[row][j] for j in range(n)]
-        row += 1
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        pv = top[col]
+        for r in range(rank + 1, m):
+            f = work[r][col]
+            work[r] = [(pv * x - f * y) // prev for x, y in zip(work[r], top)]
+        prev = pv
         rank += 1
-        if row == m:
+        if rank == m:
             break
     return rank
 

@@ -75,6 +75,34 @@ class TestValidation:
             m.run(xw, yw)
 
 
+class TestLazyStructure:
+    """A run reads only the bit-level index set; the Theorem 3.1
+    structure is built when something asks for ``algorithm``."""
+
+    @pytest.mark.parametrize("expansion", ["I", "II"])
+    def test_index_set_matches_structure(self, expansion):
+        for m in (matmul_machine(2, 3, expansion),
+                  conv_machine(4, 3, 2, expansion)):
+            direct = m.index_set
+            assert "algorithm" not in vars(m)
+            built = m.algorithm.index_set
+            assert direct.bounds({}) == built.bounds({})
+            assert direct.names == built.names
+
+    def test_run_builds_no_structure(self, monkeypatch, rng):
+        import repro.machine.model as model
+
+        def boom(*args, **kwargs):
+            raise AssertionError("run built the Theorem 3.1 structure")
+
+        u, p = 2, 3
+        X = [[rng.randrange(1 << p) for _ in range(u)] for _ in range(u)]
+        xw, yw = matmul_words(X, X, u)
+        want = matmul_machine(u, p).run(xw, yw).outputs
+        monkeypatch.setattr(model, "bit_level_from_vectors", boom)
+        assert matmul_machine(u, p).run(xw, yw).outputs == want
+
+
 class TestMatmulEquivalence:
     @pytest.mark.parametrize("expansion", ["I", "II"])
     def test_matches_matmul_machine(self, expansion, rng):

@@ -1,5 +1,8 @@
 """Tests for the S·D = P·K factorization and primitive matrices."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
@@ -11,10 +14,13 @@ from repro.mapping.designs import (
     fig5_primitives,
 )
 from repro.mapping.interconnect import (
+    _column_combinations,
     mesh_primitives,
+    min_hop_column,
     solve_interconnect,
     with_long_wires,
 )
+from repro.mapping.memo import EvalCache
 from repro.util.linalg import mat_mul
 
 
@@ -122,3 +128,71 @@ class TestSolveInterconnect:
         )
         assert sol is not None
         assert sol.hops == [1]
+
+
+def _brute_min_hops(p, target, budget):
+    """Lexicographically first minimum-hop ``k̄ >= 0`` with ``P k̄ = t``
+    and ``Σ k̄ <= budget``, by exhaustive enumeration."""
+    r = len(p[0])
+    best = None
+    for k in itertools.product(range(max(budget, -1) + 1), repeat=r):
+        if sum(k) > budget:
+            continue
+        if all(sum(p[i][j] * k[j] for j in range(r)) == target[i]
+               for i in range(len(p))):
+            if best is None or sum(k) < sum(best):
+                best = list(k)
+    return best
+
+
+class TestHopCountLemma:
+    """``_column_combinations`` answers the same k̄ under every budget that
+    fits the minimum, and ``None`` exactly below it -- so one memo entry
+    per ``(P, target)`` answers every deadline."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_budget_independence(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            rows, r = rng.randint(1, 2), rng.randint(1, 4)
+            p = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rows)]
+            target = [rng.randint(-3, 3) for _ in range(rows)]
+            b1 = rng.randint(-1, 4)
+            b2 = rng.randint(b1, 5)
+            at_b1 = _column_combinations(p, target, b1)
+            at_b2 = _column_combinations(p, target, b2)
+            assert at_b1 == _brute_min_hops(p, target, b1)
+            assert at_b2 == _brute_min_hops(p, target, b2)
+            if at_b2 is not None and sum(at_b2) <= b1:
+                assert at_b1 == at_b2
+            minimum = None if at_b2 is None else sum(at_b2)
+            # None at B1 iff the minimum exceeds B1 (or does not exist).
+            assert (at_b1 is None) == (minimum is None or minimum > b1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_memo_entry_answers_every_budget(self, seed):
+        rng = random.Random(50 + seed)
+        p = mesh_primitives(2) if seed == 0 else fig5_primitives()
+        cache = EvalCache()
+        for _ in range(80):
+            target = [rng.randint(-3, 3), rng.randint(-3, 3)]
+            budget = rng.randint(-1, 6)
+            assert min_hop_column(p, target, budget, cache) == (
+                _column_combinations(p, target, budget)
+            )
+        assert all(key[0] == "icol" and len(key) == 3 for key in cache.data)
+
+    def test_cached_solve_matches_uncached(self):
+        D, alg = matmul_D(2, 2)
+        cache = EvalCache()
+        for schedule in ([1, 1, 1, 2, 1], [2, 2, 1, 2, 1], [1, 1, 1, 1, 1]):
+            for mapping in (fig4_mapping(2), fig5_mapping(2)):
+                for prims in (fig4_primitives(2), fig5_primitives()):
+                    got = solve_interconnect(
+                        mapping.space, D, schedule, prims, cache=cache)
+                    want = solve_interconnect(
+                        mapping.space, D, schedule, prims)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.k_matrix == want.k_matrix
+                        assert got.hops == want.hops

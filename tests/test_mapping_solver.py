@@ -95,7 +95,7 @@ class TestSolverEquivalence:
         def run(strategy):
             return run_search(alg, binding, prims, SearchConfig(
                 block_values=[2], max_candidates=5,
-                strategy=strategy, persist_cache=False,
+                strategy=strategy,
             ))
 
         assert _signature(run("solver")) == _signature(run("catalog"))
@@ -106,7 +106,7 @@ class TestSolverEquivalence:
         def run(strategy):
             return run_search(alg, binding, mesh_primitives(2), SearchConfig(
                 block_values=[2], max_candidates=None, overcollect=None,
-                strategy=strategy, persist_cache=False,
+                strategy=strategy,
             ))
 
         solver, catalog = run("solver"), run("catalog")
@@ -121,7 +121,7 @@ class TestSolverEquivalence:
             with obs.collecting() as reg:
                 run_search(alg, binding, prims, SearchConfig(
                     block_values=[2], max_candidates=5,
-                    strategy=strategy, persist_cache=False,
+                    strategy=strategy,
                 ))
             counts[strategy] = reg.counters["mapping.candidates_enumerated"]
         assert counts["catalog"] >= 3 * counts["solver"]
@@ -194,7 +194,7 @@ class TestFrontierSearch:
         alg, binding = _bitlevel_instance()
         found = run_search(alg, binding, mesh_primitives(2), SearchConfig(
             block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES, persist_cache=False,
+            frontier=METRIC_NAMES,
         ))
         assert found
         metrics = [
@@ -217,7 +217,6 @@ class TestFrontierSearch:
             return run_search(alg, binding, mesh_primitives(2), SearchConfig(
                 block_values=[2], max_candidates=None,
                 overcollect=overcollect, frontier=METRIC_NAMES,
-                persist_cache=False,
             ))
 
         assert _signature(run(1)) == _signature(run(None))
@@ -237,14 +236,14 @@ class TestShardDeterminism:
     def test_byte_identical_across_worker_counts_frontier(self):
         config = SearchConfig(
             block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES, persist_cache=False,
+            frontier=METRIC_NAMES,
         )
         _alg, _binding, _prims, payloads = self._payloads(config)
         assert payloads[0] == payloads[1] == payloads[2]
 
     def test_byte_identical_across_worker_counts_ranked(self):
         config = SearchConfig(
-            block_values=[2], max_candidates=5, persist_cache=False,
+            block_values=[2], max_candidates=5,
         )
         alg, binding, prims, payloads = self._payloads(config)
         assert payloads[0] == payloads[1] == payloads[2]
@@ -262,7 +261,7 @@ class TestShardDeterminism:
         prims = mesh_primitives(2)
         config = SearchConfig(
             block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES, persist_cache=False,
+            frontier=METRIC_NAMES,
         )
         result = run_sharded_search(alg, binding, prims, config, workers=2)
         direct = run_search(alg, binding, prims, config)
@@ -278,7 +277,7 @@ class TestShardDeterminism:
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
         config = SearchConfig(
-            block_values=[2], max_candidates=5, persist_cache=False,
+            block_values=[2], max_candidates=5,
         )
         first = run_sharded_search(
             alg, binding, prims, config,

@@ -1,5 +1,8 @@
 """Tests for repro.util.linalg (exact integer linear algebra)."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +107,90 @@ class TestRankDeterminant:
     @settings(max_examples=60)
     def test_rank_of_transpose(self, a):
         assert integer_rank(a) == integer_rank(transpose(a))
+
+
+def _fraction_rank(a):
+    """Reference rank: Gaussian elimination over ``Fraction``."""
+    work = [[Fraction(x) for x in row] for row in a]
+    m, n = len(work), len(work[0]) if work else 0
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, m):
+            f = work[r][col] / work[rank][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+#: Entries at and around the int64 limits, plus small ones and zeros.
+_WIDE_ENTRIES = (
+    0, 0, 0, 1, -1, 2, -3, 7,
+    2**62, -(2**62), 2**63, -(2**63), 2**64, -(2**64), 2**63 - 1,
+)
+
+
+def _random_matrix(rng, m, n):
+    """A seeded matrix that is often rank-deficient or has zero rows."""
+    a = [[rng.choice(_WIDE_ENTRIES) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.4:
+        # A combination of two rows: the rank drops.
+        i, j, k = (rng.randrange(m) for _ in range(3))
+        c1, c2 = rng.choice((1, -2, 3)), rng.choice((0, 1, -1))
+        a[k] = [c1 * x + c2 * y for x, y in zip(a[i], a[j])]
+    if m >= 1 and rng.random() < 0.2:
+        a[rng.randrange(m)] = [0] * n
+    return a
+
+
+class TestBareissRank:
+    """Fraction-free rank equals rank over the rationals."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_fraction_elimination(self, seed):
+        rng = random.Random(seed)
+        for _ in range(250):
+            m, n = rng.randint(0, 7), rng.randint(1, 7)
+            a = _random_matrix(rng, m, n)
+            assert integer_rank(a) == _fraction_rank(a), a
+
+    def test_empty_shapes(self):
+        assert integer_rank([]) == 0
+        assert integer_rank([[], []]) == 0
+
+    def test_zero_rows_and_int64_edges(self):
+        big = 2**63
+        assert integer_rank([[0, 0, 0], [big, -big, 2**64], [0, 0, 0]]) == 1
+        assert integer_rank([[big, 1], [big - 1, 1]]) == 2
+        assert integer_rank([[big, big + 1], [big - 1, big]]) == 2
+        assert integer_rank([[2**62, 2**63], [2**63, 2**64]]) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nullspace_rank_cut(self, seed):
+        """For full-rank S, rank [S; Π] = k iff Π is not orthogonal to
+        the integer nullspace of S -- the search's condition-4 test."""
+        rng = random.Random(100 + seed)
+        checked = 0
+        while checked < 150:
+            n = rng.randint(2, 6)
+            k = rng.randint(2, n)
+            s = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k - 1)]
+            if integer_rank(s) != k - 1:
+                continue
+            null = integer_nullspace(s)
+            if rng.random() < 0.5:
+                # Π in the row space of S: the rank must not grow.
+                coeffs = [rng.randint(-2, 2) for _ in range(k - 1)]
+                pi = [sum(c * row[j] for c, row in zip(coeffs, s))
+                      for j in range(n)]
+            else:
+                pi = [rng.choice((0, 1, -1, 2, 2**63)) for _ in range(n)]
+            cut = any(sum(a * b for a, b in zip(pi, v)) for v in null)
+            assert cut == (integer_rank(s + [pi]) == k), (s, pi)
+            checked += 1
 
 
 class TestHermite:
